@@ -210,8 +210,9 @@ func BenchmarkExecuteSteadyStateAllocs(b *testing.B) {
 	const p, m, n, k = 4, 256, 256, 256
 	w := shmem.NewWorld(p)
 	// Fine 32×32 tiles give each rank a long plan (hundreds of steps), so
-	// the per-plan fixed setup (slot arrays, fetch schedule, worker crew)
-	// amortizes away and allocs/step isolates the per-step loop cost.
+	// the per-call fixed setup (ExecutePlan's fetch-schedule replay, the
+	// world activation) amortizes away and allocs/step isolates the
+	// per-step loop cost.
 	part := distmat.Custom{TileRows: 32, TileCols: 32, ProcRows: 2, ProcCols: 2}
 	a := distmat.New(w, m, k, part, 1)
 	bm := distmat.New(w, k, n, part, 1)

@@ -77,10 +77,6 @@ func memElems(m, n, k, p, cAB, cC int) float64 {
 // diagnostic, since no valid configuration exists.
 func Search(sys universal.SimSystem, m, n, k int, opt Options) []Candidate {
 	p := sys.Topo.NumPE()
-	// The search is single-goroutine, so memoizing GEMM pricing is safe —
-	// and essential at cluster scale, where candidates × ranks × steps
-	// share a handful of tile shapes.
-	md := costmodel.New(sys.Topo, sys.Dev).Memoize()
 	budget := opt.MemBudgetElems
 	if budget <= 0 {
 		budget = math.Inf(1)
@@ -104,10 +100,12 @@ func Search(sys universal.SimSystem, m, n, k int, opt Options) []Candidate {
 	// Enumerate the (cheap) layout specs sequentially, then price them —
 	// plan construction plus the §4.3 cost model, the expensive part —
 	// concurrently, both stationary strategies per spec so each Problem is
-	// built once and shared. Every spec owns its problem metadata, so
-	// pricing shares nothing; slot-indexed writes keep the result order
-	// (and therefore the sort's tie-breaking) identical to a sequential
-	// sweep.
+	// built once and shared. Every spec owns its problem metadata and its
+	// memoized cost model (the memo is single-goroutine; within one spec,
+	// ranks × steps × both strategies still collapse onto a handful of
+	// tile shapes), so pricing shares nothing; slot-indexed writes keep
+	// the result order (and therefore the sort's tie-breaking) identical
+	// to a sequential sweep.
 	stats := []universal.Stationary{universal.StationaryB, universal.StationaryC}
 	type spec struct {
 		part     bench.Partitioning
@@ -131,6 +129,7 @@ func Search(sys universal.SimSystem, m, n, k int, opt Options) []Candidate {
 	rt.ForEachIndex(len(specs), func(i int) {
 		sp := &specs[i]
 		prob := buildProblem(sys, m, n, k, sp.part, sp.cAB, sp.cC)
+		md := costmodel.New(sys.Topo, sys.Dev).Memoize()
 		for si, stat := range stats {
 			if !opt.AllowZeroComm && zeroComm(prob, stat) {
 				continue

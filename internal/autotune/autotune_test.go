@@ -291,3 +291,11 @@ func TestSearchRestrictedOptions(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSearch times one full-grid search on the H100 system, pricing
+// every layout spec concurrently.
+func BenchmarkSearch(b *testing.B) {
+	for b.Loop() {
+		Search(universal.H100System(), 2048, 2048, 2048, Options{})
+	}
+}

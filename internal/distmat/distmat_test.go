@@ -710,3 +710,52 @@ func TestGetTileIntoAsyncRejectsWrongShape(t *testing.T) {
 		m.GetTileIntoAsync(pe, &f, tile.New(3, 3), index.TileIdx{Row: 1, Col: 0}, LocalReplica)
 	})
 }
+
+// ZeroLocal clears exactly the caller's own tiles — ragged edge tiles and
+// unevenly sized slots included — and leaves every other rank's data and
+// every other replica untouched.
+func TestZeroLocalClearsOnlyOwnTiles(t *testing.T) {
+	for _, repl := range []int{1, 2} {
+		w := shmem.NewWorld(4)
+		m := New(w, 37, 41, Custom{TileRows: 7, TileCols: 11, ProcRows: 1, ProcCols: 4 / repl}, repl)
+		const zeroer = 1
+		w.Run(func(pe rt.PE) {
+			m.FillRandom(pe, 9)
+			var before *tile.Matrix
+			if pe.Rank() == 0 {
+				before = m.Gather(pe, m.ReplicaOf(zeroer))
+			}
+			pe.Barrier()
+			if pe.Rank() == zeroer {
+				m.ZeroLocal(pe)
+			}
+			pe.Barrier()
+			if pe.Rank() != 0 {
+				return
+			}
+			after := m.Gather(pe, m.ReplicaOf(zeroer))
+			tr, tc := m.GridShape()
+			for r := 0; r < tr; r++ {
+				for c := 0; c < tc; c++ {
+					idx := index.TileIdx{Row: r, Col: c}
+					b := m.TileBounds(idx)
+					want := before.View(b.Rows.Begin, b.Cols.Begin, b.Rows.Len(), b.Cols.Len())
+					if m.Owns(zeroer, idx) {
+						want = tile.New(b.Rows.Len(), b.Cols.Len())
+					}
+					got := after.View(b.Rows.Begin, b.Cols.Begin, b.Rows.Len(), b.Cols.Len())
+					if !got.Equal(want) {
+						t.Errorf("replication %d: tile %v (owned by rank %d: %v) wrong after ZeroLocal",
+							repl, idx, zeroer, m.Owns(zeroer, idx))
+					}
+				}
+			}
+			if repl > 1 {
+				// FillRandom wrote identical replicas; the other one keeps it.
+				if other := 1 - m.ReplicaOf(zeroer); !m.Gather(pe, other).Equal(before) {
+					t.Errorf("ZeroLocal on replica %d touched replica %d", m.ReplicaOf(zeroer), other)
+				}
+			}
+		})
+	}
+}

@@ -405,10 +405,17 @@ func (m *Matrix) FillRandom(pe rt.PE, seed int64) {
 
 // Zero clears the caller's owned tiles in its replica. Collective.
 func (m *Matrix) Zero(pe rt.PE) {
-	for _, idx := range m.OwnedTiles(pe.Rank()) {
-		m.Tile(pe, idx, LocalReplica).Zero()
-	}
+	m.ZeroLocal(pe)
 	pe.Barrier()
+}
+
+// ZeroLocal zeroes every tile the calling PE holds — its slot of its own
+// replica — without synchronizing and without allocating: the PE's
+// segment holds exactly those tiles (plus unused padding up to the largest
+// slot), so one clear covers them. Callers barrier before any peer may
+// accumulate into the matrix.
+func (m *Matrix) ZeroLocal(pe rt.PE) {
+	clear(pe.Local(m.seg))
 }
 
 // ScatterFrom distributes a full global matrix into the caller's owned

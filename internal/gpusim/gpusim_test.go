@@ -313,18 +313,46 @@ func TestPoolDropsForeignBuffers(t *testing.T) {
 	}
 }
 
+// Shards are independent pools whose counters the parent's Stats sums,
+// and Reserve tops a bucket up to a supply count once: later Gets within
+// it are hits, and reserving the same count again allocates nothing.
+func TestPoolShardsAndReserve(t *testing.T) {
+	p := NewPool()
+	s0, s1 := p.Shard(0), p.Shard(1)
+	if s0 == s1 || p.Shard(0) != s0 {
+		t.Fatal("Shard must return one distinct pool per index")
+	}
+	s0.Reserve(100, 3)
+	s0.Reserve(100, 3)
+	if st := s0.Stats(); st.Allocs != 3 {
+		t.Fatalf("reserving 3 twice made %d allocations, want 3", st.Allocs)
+	}
+	bufs := [][]float32{s0.Get(100), s0.Get(90), s0.Get(120)}
+	s1.Put(s1.Get(5000))
+	st := p.Stats()
+	if st.Allocs != 4 || st.Hits != 3 || st.Live != 3*128 {
+		t.Fatalf("aggregate stats %+v, want 4 allocs, 3 hits, %d live", st, 3*128)
+	}
+	for _, b := range bufs {
+		s0.Put(b)
+	}
+	if got := p.BucketSizes(); len(got) != 2 || got[0] != 128 || got[1] != BucketSize(5000) {
+		t.Fatalf("bucket sizes across shards = %v", got)
+	}
+}
+
 func TestRoundSizeBuckets(t *testing.T) {
-	if roundSize(1) != 64 {
-		t.Fatalf("roundSize(1) = %d", roundSize(1))
+	if BucketSize(1) != 64 {
+		t.Fatalf("BucketSize(1) = %d", BucketSize(1))
 	}
-	if roundSize(64) != 64 {
-		t.Fatalf("roundSize(64) = %d", roundSize(64))
+	if BucketSize(64) != 64 {
+		t.Fatalf("BucketSize(64) = %d", BucketSize(64))
 	}
-	if roundSize(65) != 128 {
-		t.Fatalf("roundSize(65) = %d", roundSize(65))
+	if BucketSize(65) != 128 {
+		t.Fatalf("BucketSize(65) = %d", BucketSize(65))
 	}
 	f := func(n uint16) bool {
-		return roundSize(int(n)+1) >= int(n)+1
+		return BucketSize(int(n)+1) >= int(n)+1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -65,5 +65,5 @@ func ExecutePlanCheckpointed(pe rt.PE, prob Problem, plan Plan, cfg Config, ckpt
 	cfg = cfg.withDefaults()
 	ckpt.Reset(len(plan.Steps))
 	sched := planFetchSchedule(plan, cfg.CacheTiles)
-	return executePlanCkpt(pe, prob, plan, &sched, cfg, ckpt)
+	return executePlan(pe, prob, plan.Steps, &sched, cfg, ckpt)
 }

@@ -439,13 +439,13 @@ func (cp *CompiledPlan) Matches(prob Problem, cfg Config) bool {
 // fault after retries, with pooled buffers balanced either way.
 func ExecuteCompiled(pe rt.PE, prob Problem, cp *CompiledPlan, cfg Config) error {
 	rank := pe.Rank()
-	return executePlanSched(pe, prob, cp.Plans[rank], &cp.scheds[rank], cfg.withDefaults())
+	return executePlan(pe, prob, cp.Plans[rank].Steps, &cp.scheds[rank], cfg.withDefaults(), nil)
 }
 
 // ExecuteCompiledBatch executes several compiled plans as one fused group:
-// a single worker crew per PE drains every plan's GEMM→accumulate chains
-// back-to-back, so a batch of small multiplies pays one crew spawn and one
-// drain instead of one per request — the serving layer's grouped-plan
+// a single warm crew per PE drains every plan's GEMM→accumulate chains
+// back-to-back, so a batch of small multiplies pays one crew wake-up and
+// one drain instead of one per request — the serving layer's grouped-plan
 // batching. probs[i] must match cps[i], and the problems' result matrices
 // must be pairwise distinct from each other and from every operand (their
 // interleaved one-sided accumulates are unsynchronized and must commute).
@@ -459,22 +459,12 @@ func ExecuteCompiledBatch(pe rt.PE, probs []Problem, cps []*CompiledPlan, cfg Co
 	if len(probs) != len(cps) {
 		panic("universal: ExecuteCompiledBatch problem/plan count mismatch")
 	}
-	cfg = cfg.withDefaults()
 	rank := pe.Rank()
-	rt.PushFaultScope(pe)
-	defer rt.PopFaultScope(pe)
-	rt.SetOpDeadline(pe, cfg.Retry.OpTimeout)
-	defer rt.SetOpDeadline(pe, 0)
-	var box errBox
-	tasks, wg := startChainCrew(pe, cfg, &box)
-	finishers := make([]func(), len(cps))
+	ex := executors.Get().(*executor)
 	for i, cp := range cps {
-		finishers[i] = feedPlanSched(pe, probs[i], cp.Plans[rank], &cp.scheds[rank], cfg, tasks, &box, nil)
+		ex.add(probs[i], cp.Plans[rank].Steps, &cp.scheds[rank], nil)
 	}
-	close(tasks)
-	wg.Wait()
-	for _, finish := range finishers {
-		finish()
-	}
-	return box.err()
+	err := ex.run(pe, cfg.withDefaults())
+	executors.Put(ex)
+	return err
 }

@@ -1,6 +1,7 @@
 package universal
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -40,7 +41,9 @@ type Config struct {
 	// ablation benchmark).
 	SubTileFetch bool
 	// Pool supplies scratch buffers for partial results and fetched tiles;
-	// nil allocates one internally.
+	// each rank draws from its own shard (gpusim.Pool.Shard), so PEs
+	// sharing a pool never contend on its lock. Nil allocates one per
+	// call.
 	Pool *gpusim.Pool
 	// Plans, when non-nil, makes Multiply/MultiplyAccumulate look up the
 	// problem's CompiledPlan in this cache instead of re-running the §4.1
@@ -131,12 +134,12 @@ func MultiplyAccumulate(pe rt.PE, prob Problem, cfg Config) (Stationary, error) 
 	if cfg.Plans != nil {
 		cp := cfg.Plans.GetOrCompile(prob, cfg)
 		rank := pe.Rank()
-		err = executePlanSched(pe, prob, cp.Plans[rank], &cp.scheds[rank], cfg)
+		err = executePlan(pe, prob, cp.Plans[rank].Steps, &cp.scheds[rank], cfg, nil)
 		stat = cp.Key.Stationary
 	} else {
 		plan := buildRankPlan(pe.Rank(), prob, cfg)
 		sched := planFetchSchedule(plan, cfg.CacheTiles)
-		err = executePlanSched(pe, prob, plan, &sched, cfg)
+		err = executePlan(pe, prob, plan.Steps, &sched, cfg, nil)
 		stat = plan.Stationary
 	}
 	pe.Barrier() // all one-sided updates must land before replica reduction
@@ -180,8 +183,8 @@ func (s *tileSlot) release() {
 	}
 }
 
-// stepOperands holds one step's sliced operand views. They live in a
-// per-plan array so slicing allocates nothing per step.
+// stepOperands holds one step's sliced operand views. They live in the
+// executor's scratch so slicing allocates nothing per step.
 type stepOperands struct {
 	a, b tile.Matrix
 }
@@ -189,263 +192,389 @@ type stepOperands struct {
 // ExecutePlan runs a per-rank plan with the §4.2 optimizations: iteration
 // offset (already baked into the op order), prefetching via
 // get_tile_async, asynchronous GEMM→accumulate chains with bounded
-// concurrency, and pooled scratch memory. The loop is allocation-free in
-// the steady state: fetched tiles land in pooled buffers held in
-// refcounted slots whose eviction mirrors the plan-time tile LRU
-// (planFetchSchedule), operand views live in per-plan arrays, and GEMM
-// partials come from the same pool. It performs no collective
-// synchronization; callers barrier afterwards. The returned error is the
-// rank's first fatal one-sided fault (after per-op retries), with every
-// pooled buffer back in the pool either way.
+// concurrency, and pooled scratch memory. It replays the plan-time tile
+// LRU (planFetchSchedule) per call; ExecuteCompiled reuses the replay
+// frozen at compile time. The run itself is allocation-free and
+// spawn-free in the steady state: it borrows a pooled executor whose crew
+// and scratch outlive the call, fetched tiles land in buffers from the
+// rank's shard of cfg.Pool held in refcounted slots whose eviction
+// mirrors the plan-time LRU, and GEMM partials come from the same shard.
+// It performs no collective synchronization; callers barrier afterwards.
+// The returned error is the rank's first fatal one-sided fault (after
+// per-op retries), with every pooled buffer back in the pool either way.
 func ExecutePlan(pe rt.PE, prob Problem, plan Plan, cfg Config) error {
 	cfg = cfg.withDefaults()
 	sched := planFetchSchedule(plan, cfg.CacheTiles)
-	return executePlanSched(pe, prob, plan, &sched, cfg)
+	return executePlan(pe, prob, plan.Steps, &sched, cfg, nil)
 }
 
-// startChainCrew spawns the bounded GEMM→accumulate worker crew (§4.2's
-// configurable chain-concurrency limit): MaxInflight workers drain a channel
-// of ready chains. Tasks are plain values, so dispatching a step allocates
-// nothing; the unbuffered send blocks exactly when all workers are busy,
-// which is the same admission control as a counting semaphore. The crew is
-// problem-agnostic (each task carries its own Problem), so one crew can
-// drain the chains of many fused multiplies.
-//
-// box is the crew's abort flag: a worker whose accumulate fails fatally
-// (after its retry budget) publishes the error, and every worker keeps
-// draining tasks — releasing their slots so pooled buffers balance — but
-// skips their compute. The feeder polls the same box and stops
-// dispatching, so a failed step ends the run cleanly instead of
-// deadlocking the channel.
-func startChainCrew(pe rt.PE, cfg Config, box *errBox) (chan<- chainTask, *sync.WaitGroup) {
-	tasks := make(chan chainTask)
-	wg := new(sync.WaitGroup)
-	for w := 0; w < cfg.MaxInflight; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			ret := newRetrier(cfg.Retry, seed)
-			for t := range tasks {
-				if box.err() == nil {
-					err := gemmAccumulateChain(pe, t.prob, t.op, &t.ops.a, &t.ops.b, cfg.Pool, cfg.KernelWorkers, &ret)
-					if err == nil && t.ckpt != nil {
-						// The chain's single accumulate landed (a failed op
-						// moves no data, so this is exactly the step's C
-						// contribution becoming durable): checkpoint it at
-						// the same point the step's slot references retire.
-						t.ckpt.mark(t.step)
-					}
-					box.set(err)
-				}
-				if t.aSlot != nil {
-					t.aSlot.release()
-				}
-				if t.bSlot != nil {
-					t.bSlot.release()
-				}
-			}
-		}(uint64(pe.Rank())<<16 | uint64(w+1))
-	}
-	return tasks, wg
+// executePlan runs one plan whose fetch schedule is already computed — the
+// shared body of the direct path (which derives sched per call) and the
+// compiled-plan path (which reuses the schedule frozen at compile time, so
+// a plan-cache hit re-runs zero slicing work). cfg must already have
+// defaults applied. sched is read-only: concurrent executions of one
+// CompiledPlan share it. With ckpt non-nil (already Reset to the plan's
+// length) every step whose accumulate lands is marked, so after a fatal
+// fault the caller knows exactly which C contributions are durable and
+// which steps a repair plan must replay.
+func executePlan(pe rt.PE, prob Problem, steps []Step, sched *fetchSchedule, cfg Config, ckpt *Checkpoint) error {
+	ex := executors.Get().(*executor)
+	ex.add(prob, steps, sched, ckpt)
+	err := ex.run(pe, cfg)
+	executors.Put(ex)
+	return err
 }
 
-// executePlanSched is ExecutePlan with the plan-time LRU replay already
-// computed — the shared body of the direct path (which derives sched per
-// call) and the compiled-plan path (which reuses the schedule frozen at
-// compile time, so a plan-cache hit re-runs zero slicing work). cfg must
-// already have defaults applied. sched is read-only: concurrent executions
-// of one CompiledPlan share it.
+// executors holds idle executors. Each executing PE borrows one for the
+// length of its call, so there are about as many as there are concurrent
+// calls. An executor in steady use survives garbage collection; one left
+// idle through a full collection cycle is dropped, and its cleanup stops
+// its crew, so idle crews never outlive their executor.
+var executors = sync.Pool{New: func() any {
+	c := &crew{tasks: make(chan chainTask), quit: make(chan struct{})}
+	ex := &executor{crew: c}
+	// The crew's goroutines reference the crew, never the executor, so
+	// the executor becomes unreachable once the pool drops it.
+	runtime.AddCleanup(ex, (*crew).stop, c)
+	return ex
+}}
+
+// executor is the execution state that outlives a single call: a warm
+// GEMM→accumulate crew and the scratch each call carves its per-plan
+// feeders, tile slots and operand views from. A call queues its plans with
+// add and runs them with run; in the steady state that spawns no
+// goroutine and allocates nothing. Between calls an executor keeps no
+// reference to the call's problems, PE or pool.
+type executor struct {
+	*crew
+	prefetch int
+
+	feeders  []planFeeder
+	slots    []tileSlot
+	operands []stepOperands
+	demand   []bucketDemand
+}
+
+// add queues one plan for the next run.
+func (ex *executor) add(prob Problem, steps []Step, sched *fetchSchedule, ckpt *Checkpoint) {
+	ex.feeders = append(ex.feeders, planFeeder{prob: prob, steps: steps, sched: sched, ckpt: ckpt})
+}
+
+// run executes the queued plans as one fused group on pe: one crew drains
+// every plan's chains back-to-back, and this rank's first fatal fault
+// stops dispatch across all of them and is returned once.
 //
 // It brackets the run in a fault scope with the configured per-op
 // deadline: on fault-capable backends this is the recoverable region
 // (injected faults fire only here, retried per Config.Retry), and the
 // collectives around it stay fault-free so ranks never diverge on
 // barrier counts.
-func executePlanSched(pe rt.PE, prob Problem, plan Plan, sched *fetchSchedule, cfg Config) error {
-	return executePlanCkpt(pe, prob, plan, sched, cfg, nil)
-}
-
-// executePlanCkpt is executePlanSched with an optional step checkpoint:
-// with ckpt non-nil (already Reset to the plan's length) every step whose
-// accumulate lands is marked, so after a fatal fault the caller knows
-// exactly which C contributions are durable and which steps a repair plan
-// must replay.
-func executePlanCkpt(pe rt.PE, prob Problem, plan Plan, sched *fetchSchedule, cfg Config, ckpt *Checkpoint) error {
+func (ex *executor) run(pe rt.PE, cfg Config) error {
 	rt.PushFaultScope(pe)
 	defer rt.PopFaultScope(pe)
 	rt.SetOpDeadline(pe, cfg.Retry.OpTimeout)
 	defer rt.SetOpDeadline(pe, 0)
-	var box errBox
-	tasks, wg := startChainCrew(pe, cfg, &box)
-	finish := feedPlanSched(pe, prob, plan, sched, cfg, tasks, &box, ckpt)
-	close(tasks)
-	wg.Wait()
-	finish()
-	return box.err()
+
+	ex.pe, ex.pool = pe, cfg.Pool.Shard(pe.Rank())
+	ex.retry, ex.kernelWorkers, ex.prefetch = cfg.Retry, cfg.KernelWorkers, cfg.PrefetchDepth
+	steps := ex.carve()
+	ex.reserve(cfg.MaxInflight)
+	// A call never needs more workers than it has steps: a two-step plan
+	// wakes two.
+	workers := min(cfg.MaxInflight, steps)
+	ex.start(workers)
+	for i := range ex.feeders {
+		ex.feeders[i].feed(ex)
+	}
+	ex.end(workers)
+	// Residual LRU residencies drop after the crew drains, so the final
+	// pool returns happen deterministically here rather than racing
+	// worker releases mid-execution.
+	for i := range ex.feeders {
+		ex.feeders[i].finish()
+	}
+	err := ex.box.err()
+	ex.reset(steps)
+	return err
 }
 
-// feedPlanSched walks one per-rank plan, issuing prefetches and handing each
-// ready GEMM→accumulate chain to an already-running crew. It owns the
-// plan's slot arrays; the refcounts keep pooled buffers alive until the last
-// in-flight chain using them retires, so the caller may feed further plans
-// to the same crew before this one's chains drain. The returned finish func
-// drops the residual plan-time LRU residencies; callers run it after the
-// crew drains so the final pool returns happen deterministically on the
-// feeder, not racing worker releases mid-execution.
+// carve sizes the scratch to the queued plans' total steps and hands each
+// feeder its share, returning the total. Scratch only grows, so a call no
+// larger than an earlier one allocates nothing.
+func (ex *executor) carve() int {
+	steps := 0
+	for i := range ex.feeders {
+		steps += len(ex.feeders[i].steps)
+	}
+	if cap(ex.slots) < 2*steps {
+		ex.slots = make([]tileSlot, 2*steps)
+	}
+	if cap(ex.operands) < steps {
+		ex.operands = make([]stepOperands, steps)
+	}
+	off := 0
+	for i := range ex.feeders {
+		f := &ex.feeders[i]
+		n := len(f.steps)
+		f.aSlots = ex.slots[2*off : 2*off+n]
+		f.bSlots = ex.slots[2*off+n : 2*(off+n)]
+		f.operands = ex.operands[off : off+n]
+		off += n
+	}
+	return steps
+}
+
+// reserve carves the call's worst-case buffer demand out of the rank's
+// shard before the first fetch, so how many buffers the shard allocates
+// depends only on the plans, never on the order in which crew workers
+// return them. Per bucket it reserves the plans' peak resident fetch
+// buffers plus what the schedule cannot see — the PrefetchDepth+1 steps
+// fetched ahead of dispatch and the MaxInflight+1 chains (the one being
+// dispatched included) that may still read tiles already evicted, two
+// operands each — capped at the fetches issued, and one GEMM partial per
+// chain, capped at the steps of that size.
+func (ex *executor) reserve(maxInflight int) {
+	ex.demand = ex.demand[:0]
+	for i := range ex.feeders {
+		for _, d := range ex.feeders[i].sched.demand {
+			ex.demand = addDemand(ex.demand, d)
+		}
+	}
+	slack := 2*(ex.prefetch+1) + 2*(maxInflight+1)
+	for _, d := range ex.demand {
+		ex.pool.Reserve(d.size, min(d.fetches, d.resident+slack)+min(d.partials, maxInflight))
+	}
+}
+
+// reset drops every reference the call left behind, so an idle executor
+// never keeps a finished call's matrices, PE or pool alive.
+func (ex *executor) reset(steps int) {
+	clear(ex.slots[:2*steps])
+	clear(ex.operands[:steps])
+	clear(ex.feeders)
+	ex.feeders = ex.feeders[:0]
+	ex.pe, ex.pool = nil, nil
+	ex.retry = RetryConfig{}
+	ex.box.p.Store(nil)
+}
+
+// crew is an executor's bounded GEMM→accumulate worker crew (§4.2's
+// configurable chain-concurrency limit) together with the call state its
+// workers read. Workers are spawned on first need and then park between
+// calls, so a steady-state call wakes them instead of spawning; they exit
+// when the executor is garbage collected.
+type crew struct {
+	// Call state: written by run before the crew starts, cleared by reset
+	// after it ends.
+	pe            rt.PE
+	pool          *gpusim.Pool // the rank's shard of Config.Pool
+	retry         RetryConfig
+	kernelWorkers int
+	box           errBox
+
+	// tasks is unbuffered: a send blocks exactly when every started worker
+	// is busy, which is the same admission control as a counting
+	// semaphore.
+	tasks chan chainTask
+	// ctl[i] carries worker i's session start and end signals, alternately;
+	// capacity 2 so neither send blocks even when the worker has not yet
+	// picked up the start.
+	ctl  []chan struct{}
+	done sync.WaitGroup // counts started workers out of a call
+	quit chan struct{}  // closed by stop
+}
+
+// start opens a call's session on workers 0..n-1, spawning any that do
+// not exist yet.
+func (c *crew) start(n int) {
+	c.done.Add(n)
+	for i := 0; i < n; i++ {
+		if i == len(c.ctl) {
+			ctl := make(chan struct{}, 2)
+			c.ctl = append(c.ctl, ctl)
+			go c.work(i, ctl)
+		}
+		c.ctl[i] <- struct{}{}
+	}
+}
+
+// end closes the session on workers 0..n-1 once every task has been
+// handed out, and waits until each has finished its last chain.
+func (c *crew) end(n int) {
+	for i := 0; i < n; i++ {
+		c.ctl[i] <- struct{}{}
+	}
+	c.done.Wait()
+}
+
+// stop ends every worker goroutine. It runs as the executor's cleanup,
+// when no call can be in progress, so every worker is parked.
+func (c *crew) stop() { close(c.quit) }
+
+// work is worker id's goroutine: a session per call until stop.
+func (c *crew) work(id int, ctl <-chan struct{}) {
+	for {
+		select {
+		case <-ctl:
+		case <-c.quit:
+			return
+		}
+		c.session(id, ctl)
+		c.done.Done()
+	}
+}
+
+// session drains one call's chains until its end signal. Tasks are plain
+// values carrying their own Problem, so one session serves every plan of
+// a fused batch and dispatching a step allocates nothing. The end signal
+// is sent only after the last task has been handed out, so a worker that
+// sees it has no task left to take.
+//
+// The crew's errBox is the call's abort flag: a worker whose accumulate
+// fails fatally (after its retry budget) publishes the error, and every
+// worker keeps draining tasks — releasing their slots so pooled buffers
+// balance — but skips their compute. The feeders poll the same box and
+// stop dispatching, so a failed step ends the run cleanly instead of
+// deadlocking the channel.
+func (c *crew) session(id int, ctl <-chan struct{}) {
+	ret := newRetrier(c.retry, uint64(c.pe.Rank())<<16|uint64(id+1))
+	for {
+		var t chainTask
+		select {
+		case t = <-c.tasks:
+		case <-ctl:
+			return
+		}
+		if c.box.err() == nil {
+			err := gemmAccumulateChain(c.pe, t.prob, t.op, &t.ops.a, &t.ops.b, c.pool, c.kernelWorkers, &ret)
+			if err == nil && t.ckpt != nil {
+				// The chain's single accumulate landed (a failed op moves
+				// no data, so this is exactly the step's C contribution
+				// becoming durable): checkpoint it at the same point the
+				// step's slot references retire.
+				t.ckpt.mark(t.step)
+			}
+			c.box.set(err)
+		}
+		if t.aSlot != nil {
+			t.aSlot.release()
+		}
+		if t.bSlot != nil {
+			t.bSlot.release()
+		}
+	}
+}
+
+// chainTask is one ready GEMM→accumulate chain handed to the crew. It
+// carries its own Problem so one crew can serve a fused batch of
+// multiplies.
+type chainTask struct {
+	prob         Problem
+	op           LocalOp
+	ops          *stepOperands
+	aSlot, bSlot *tileSlot
+	// ckpt/step checkpoint the chain's accumulate when it lands (nil = no
+	// checkpointing; the common fault-free entry points pay nothing).
+	ckpt *Checkpoint
+	step int
+}
+
+// planFeeder walks one queued plan, issuing prefetches and handing each
+// ready chain to the crew. Its slot and operand arrays are carved from the
+// executor's scratch; the refcounts keep pooled buffers alive until the
+// last in-flight chain using them retires, so the feeders of a fused batch
+// share one crew and none has to wait for another's chains to drain.
 //
 // Fault handling: fetch issues and synchronous fallback gets run under the
 // retry budget; a fatal failure (or one published by a worker, or by a
-// fused sibling plan sharing the crew) stops dispatch at that step.
-// Already-issued fetches are safe to abandon — every backend completes
-// the data movement of an async get at issue time — so finish can return
-// their buffers to the pool unconditionally.
-func feedPlanSched(pe rt.PE, prob Problem, plan Plan, sched *fetchSchedule, cfg Config, tasks chan<- chainTask, box *errBox, ckpt *Checkpoint) (finish func()) {
-	if box.err() != nil {
-		// A fused sibling plan already failed; skip this one entirely.
-		return func() {}
-	}
-	pool := cfg.Pool
-	ret := newRetrier(cfg.Retry, uint64(pe.Rank())<<16|0xfeed)
-	nsteps := len(plan.Steps)
-	aSlots := make([]tileSlot, nsteps)
-	bSlots := make([]tileSlot, nsteps)
-	operands := make([]stepOperands, nsteps)
-	slotFor := func(ref fetchRef) *tileSlot {
-		if ref.mat == 'A' {
-			return &aSlots[ref.step]
-		}
-		return &bSlots[ref.step]
-	}
+// fused sibling plan) stops dispatch at that step. Already-issued fetches
+// are safe to abandon — every backend completes the data movement of an
+// async get at issue time — so finish can return their buffers to the
+// pool unconditionally.
+type planFeeder struct {
+	prob  Problem
+	steps []Step
+	sched *fetchSchedule
+	ckpt  *Checkpoint
+	ret   retrier
 
-	// issueTileFetch starts the async whole-tile copy for step i's operand
-	// into a recycled pooled buffer, retrying transient issue failures.
-	issueTileFetch := func(s *tileSlot, m *distmat.Matrix, idx index.TileIdx) error {
-		b := m.TileBounds(idx)
-		rows, cols := b.Shape()
-		s.pool = pool
-		s.buf = pool.GetUninit(rows * cols)
-		s.mat = tile.Matrix{Rows: rows, Cols: cols, Stride: cols, Data: s.buf}
-		s.refs.Store(1) // the cache's residency reference
-		return ret.do(func() { m.GetTileIntoAsync(pe, &s.fut, &s.mat, idx, distmat.LocalReplica) })
-	}
-	// issueSubFetch starts the async exact-slice copy for a sub-tile step.
-	// Sub-tile fetches are single-use, so their residency reference is
-	// dropped as soon as the step's chain holds its own.
-	issueSubFetch := func(s *tileSlot, m *distmat.Matrix, idx index.TileIdx, sub index.Rect) error {
-		rows, cols := sub.Shape()
-		s.pool = pool
-		s.buf = pool.GetUninit(rows * cols)
-		s.mat = tile.Matrix{Rows: rows, Cols: cols, Stride: cols, Data: s.buf}
-		s.refs.Store(1)
-		return ret.do(func() { m.GetSubTileIntoAsync(pe, &s.fut, &s.mat, idx, distmat.LocalReplica, sub) })
-	}
+	aSlots, bSlots []tileSlot
+	operands       []stepOperands
+	// Local-tile view headers, one per operand so a step with two local
+	// tiles never aliases them; reused across steps.
+	aLocal, bLocal tile.Matrix
+	evictCursor    int
+	abortAt        int  // first step never dispatched; -1 = ran to completion
+	fed            bool // false when a fused sibling failed before this plan began
+}
 
-	// issueFetches starts the async copies needed by steps [from, to).
-	issueFetches := func(from, to int) error {
-		for i := from; i < to && i < nsteps; i++ {
-			s := plan.Steps[i]
-			if s.SubTile {
-				if s.FetchA {
-					if err := issueSubFetch(&aSlots[i], prob.A, s.Op.AIdx, index.Rect{Rows: s.Op.M, Cols: s.Op.K}); err != nil {
-						return err
-					}
-				}
-				if s.FetchB {
-					if err := issueSubFetch(&bSlots[i], prob.B, s.Op.BIdx, index.Rect{Rows: s.Op.K, Cols: s.Op.N}); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-			if s.FetchA {
-				if err := issueTileFetch(&aSlots[i], prob.A, s.Op.AIdx); err != nil {
-					return err
-				}
-			}
-			if s.FetchB {
-				if err := issueTileFetch(&bSlots[i], prob.B, s.Op.BIdx); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+// slot returns the slot of one fetch.
+func (f *planFeeder) slot(ref fetchRef) *tileSlot {
+	if ref.mat == 'A' {
+		return &f.aSlots[ref.step]
 	}
+	return &f.bSlots[ref.step]
+}
 
-	// acquireTile resolves a full-tile operand: a zero-copy local view, the
-	// refcounted slot of the fetch serving this step (waiting for it to
-	// land), or — if the plan's fetch decisions don't match the replayed
-	// schedule (plan built with a different cache capacity) — a synchronous
-	// fallback get. Each operand gets its own local-view header (reused
-	// across steps, so slicing allocates nothing) so a step with two local
-	// tiles never aliases them.
-	var aLocalView, bLocalView tile.Matrix
-	acquireTile := func(m *distmat.Matrix, local bool, src int, idx index.TileIdx, slots []tileSlot, localView *tile.Matrix) (*tile.Matrix, *tileSlot, error) {
-		if local {
-			m.TileInto(pe, localView, idx, distmat.LocalReplica)
-			return localView, nil, nil
-		}
-		if src >= 0 {
-			slot := &slots[src]
-			return slot.acquire(), slot, nil
-		}
-		var t *tile.Matrix
-		err := ret.do(func() { t = m.GetTile(pe, idx, distmat.LocalReplica) })
-		return t, nil, err
+// feed dispatches the plan's steps to the crew.
+func (f *planFeeder) feed(ex *executor) {
+	if ex.box.err() != nil {
+		return // a fused sibling plan already failed; skip this one entirely
 	}
-
-	evictCursor := 0
-	abortAt := -1 // first step never dispatched; -1 = ran to completion
-	if err := issueFetches(0, 1+cfg.PrefetchDepth); err != nil {
-		box.set(err)
+	f.fed, f.abortAt = true, -1
+	f.ret = newRetrier(ex.retry, uint64(ex.pe.Rank())<<16|0xfeed)
+	if err := f.issueFetches(ex, 0, 1+ex.prefetch); err != nil {
+		ex.box.set(err)
 	}
-	for i, s := range plan.Steps {
-		if box.err() != nil {
-			abortAt = i
-			break
+	for i := range f.steps {
+		s := &f.steps[i]
+		if ex.box.err() != nil {
+			f.abortAt = i
+			return
 		}
-		if err := issueFetches(i+1+cfg.PrefetchDepth, i+2+cfg.PrefetchDepth); err != nil {
-			box.set(err)
-			abortAt = i
-			break
+		if err := f.issueFetches(ex, i+1+ex.prefetch, i+2+ex.prefetch); err != nil {
+			ex.box.set(err)
+			f.abortAt = i
+			return
 		}
 
-		ops := &operands[i]
+		ops := &f.operands[i]
 		var aSlot, bSlot *tileSlot
 		var err error
 		if s.SubTile {
-			aSlot, err = acquireSub(pe, prob.A, s.ALocal, s.Op.AIdx, index.Rect{Rows: s.Op.M, Cols: s.Op.K}, &aSlots[i], &ops.a, &ret)
+			aSlot, err = acquireSub(ex.pe, f.prob.A, s.ALocal, s.Op.AIdx, index.Rect{Rows: s.Op.M, Cols: s.Op.K}, &f.aSlots[i], &ops.a, &f.ret)
 			if err == nil {
-				bSlot, err = acquireSub(pe, prob.B, s.BLocal, s.Op.BIdx, index.Rect{Rows: s.Op.K, Cols: s.Op.N}, &bSlots[i], &ops.b, &ret)
+				bSlot, err = acquireSub(ex.pe, f.prob.B, s.BLocal, s.Op.BIdx, index.Rect{Rows: s.Op.K, Cols: s.Op.N}, &f.bSlots[i], &ops.b, &f.ret)
 			}
 		} else {
 			var aTile, bTile *tile.Matrix
-			aTile, aSlot, err = acquireTile(prob.A, s.ALocal, sched.srcA[i], s.Op.AIdx, aSlots, &aLocalView)
+			aTile, aSlot, err = f.acquireTile(ex, f.prob.A, s.ALocal, f.sched.srcA[i], s.Op.AIdx, f.aSlots, &f.aLocal)
 			if err == nil {
-				bTile, bSlot, err = acquireTile(prob.B, s.BLocal, sched.srcB[i], s.Op.BIdx, bSlots, &bLocalView)
+				bTile, bSlot, err = f.acquireTile(ex, f.prob.B, s.BLocal, f.sched.srcB[i], s.Op.BIdx, f.bSlots, &f.bLocal)
 			}
 			if err == nil {
 				// Slice the tiles down to the op's global (M, K, N) bounds.
-				ab := prob.A.TileBounds(s.Op.AIdx)
+				ab := f.prob.A.TileBounds(s.Op.AIdx)
 				aTile.ViewInto(&ops.a, s.Op.M.Begin-ab.Rows.Begin, s.Op.K.Begin-ab.Cols.Begin, s.Op.M.Len(), s.Op.K.Len())
-				bb := prob.B.TileBounds(s.Op.BIdx)
+				bb := f.prob.B.TileBounds(s.Op.BIdx)
 				bTile.ViewInto(&ops.b, s.Op.K.Begin-bb.Rows.Begin, s.Op.N.Begin-bb.Cols.Begin, s.Op.K.Len(), s.Op.N.Len())
 			}
 		}
 		if err != nil {
 			// Drop the chain references taken before the failure; the
 			// residency references fall to finish.
-			box.set(err)
+			ex.box.set(err)
 			if aSlot != nil {
 				aSlot.release()
 			}
 			if bSlot != nil {
 				bSlot.release()
 			}
-			abortAt = i
-			break
+			f.abortAt = i
+			return
 		}
 
-		tasks <- chainTask{prob: prob, op: s.Op, ops: ops, aSlot: aSlot, bSlot: bSlot, ckpt: ckpt, step: i}
+		ex.tasks <- chainTask{prob: f.prob, op: s.Op, ops: ops, aSlot: aSlot, bSlot: bSlot, ckpt: f.ckpt, step: i}
 
 		// Sub-tile fetches are single-use: drop their residency reference
 		// now that the chain holds its own.
@@ -458,50 +587,118 @@ func feedPlanSched(pe rt.PE, prob Problem, plan Plan, sched *fetchSchedule, cfg 
 			}
 		}
 		// Retire buffers whose plan-time LRU residency ended at this step.
-		for evictCursor < len(sched.evictions) && sched.evictions[evictCursor].atStep == i {
-			slotFor(sched.evictions[evictCursor].ref).release()
-			evictCursor++
-		}
-	}
-	return func() {
-		// Full-tile fetches (issued or not) all appear in the eviction
-		// list; releasing an unissued slot is a no-op, so the walk is
-		// correct on the abort path as well.
-		for ; evictCursor < len(sched.evictions); evictCursor++ {
-			slotFor(sched.evictions[evictCursor].ref).release()
-		}
-		if abortAt < 0 {
-			return
-		}
-		// Sub-tile fetches are not in the eviction list (their residency
-		// ends at dispatch), so on abort the issued-but-never-dispatched
-		// ones still hold their single-use reference.
-		for j := abortAt; j < nsteps; j++ {
-			if !plan.Steps[j].SubTile {
-				continue
-			}
-			if aSlots[j].buf != nil {
-				aSlots[j].release()
-			}
-			if bSlots[j].buf != nil {
-				bSlots[j].release()
-			}
+		ev := f.sched.evictions
+		for f.evictCursor < len(ev) && ev[f.evictCursor].atStep == i {
+			f.slot(ev[f.evictCursor].ref).release()
+			f.evictCursor++
 		}
 	}
 }
 
-// chainTask is one ready GEMM→accumulate chain handed to the worker crew.
-// It carries its own Problem so one crew can serve a fused batch of
-// multiplies.
-type chainTask struct {
-	prob         Problem
-	op           LocalOp
-	ops          *stepOperands
-	aSlot, bSlot *tileSlot
-	// ckpt/step checkpoint the chain's accumulate when it lands (nil = no
-	// checkpointing; the common fault-free entry points pay nothing).
-	ckpt *Checkpoint
-	step int
+// finish drops the plan's residual residencies once the crew has drained.
+func (f *planFeeder) finish() {
+	if !f.fed {
+		return
+	}
+	// Full-tile fetches (issued or not) all appear in the eviction list;
+	// releasing an unissued slot is a no-op, so the walk is correct on
+	// the abort path as well.
+	for ev := f.sched.evictions; f.evictCursor < len(ev); f.evictCursor++ {
+		f.slot(ev[f.evictCursor].ref).release()
+	}
+	if f.abortAt < 0 {
+		return
+	}
+	// Sub-tile fetches are not in the eviction list (their residency ends
+	// at dispatch), so on abort the issued-but-never-dispatched ones still
+	// hold their single-use reference.
+	for j := f.abortAt; j < len(f.steps); j++ {
+		if !f.steps[j].SubTile {
+			continue
+		}
+		if f.aSlots[j].buf != nil {
+			f.aSlots[j].release()
+		}
+		if f.bSlots[j].buf != nil {
+			f.bSlots[j].release()
+		}
+	}
+}
+
+// issueFetches starts the async copies needed by steps [from, to).
+func (f *planFeeder) issueFetches(ex *executor, from, to int) error {
+	for i := from; i < to && i < len(f.steps); i++ {
+		s := &f.steps[i]
+		if s.SubTile {
+			if s.FetchA {
+				if err := f.fetchSub(ex, &f.aSlots[i], f.prob.A, s.Op.AIdx, index.Rect{Rows: s.Op.M, Cols: s.Op.K}); err != nil {
+					return err
+				}
+			}
+			if s.FetchB {
+				if err := f.fetchSub(ex, &f.bSlots[i], f.prob.B, s.Op.BIdx, index.Rect{Rows: s.Op.K, Cols: s.Op.N}); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		if s.FetchA {
+			if err := f.fetchTile(ex, &f.aSlots[i], f.prob.A, s.Op.AIdx); err != nil {
+				return err
+			}
+		}
+		if s.FetchB {
+			if err := f.fetchTile(ex, &f.bSlots[i], f.prob.B, s.Op.BIdx); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// arm points slot s at a pooled rows×cols buffer from the rank's shard,
+// holding the cache's residency reference.
+func (ex *executor) arm(s *tileSlot, rows, cols int) {
+	s.pool = ex.pool
+	s.buf = ex.pool.GetUninit(rows * cols)
+	s.mat = tile.Matrix{Rows: rows, Cols: cols, Stride: cols, Data: s.buf}
+	s.refs.Store(1)
+}
+
+// fetchTile starts the async whole-tile copy of m's tile idx into slot s,
+// retrying transient issue failures.
+func (f *planFeeder) fetchTile(ex *executor, s *tileSlot, m *distmat.Matrix, idx index.TileIdx) error {
+	rows, cols := m.TileBounds(idx).Shape()
+	ex.arm(s, rows, cols)
+	return f.ret.do(func() { m.GetTileIntoAsync(ex.pe, &s.fut, &s.mat, idx, distmat.LocalReplica) })
+}
+
+// fetchSub starts the async exact-slice copy for a sub-tile step.
+// Sub-tile fetches are single-use, so their residency reference is dropped
+// as soon as the step's chain holds its own.
+func (f *planFeeder) fetchSub(ex *executor, s *tileSlot, m *distmat.Matrix, idx index.TileIdx, sub index.Rect) error {
+	rows, cols := sub.Shape()
+	ex.arm(s, rows, cols)
+	return f.ret.do(func() { m.GetSubTileIntoAsync(ex.pe, &s.fut, &s.mat, idx, distmat.LocalReplica, sub) })
+}
+
+// acquireTile resolves a full-tile operand: a zero-copy local view, the
+// refcounted slot of the fetch serving this step (waiting for it to land),
+// or — if the plan's fetch decisions don't match the replayed schedule
+// (plan built with a different cache capacity) — a synchronous fallback
+// get.
+func (f *planFeeder) acquireTile(ex *executor, m *distmat.Matrix, local bool, src int, idx index.TileIdx, slots []tileSlot, localView *tile.Matrix) (*tile.Matrix, *tileSlot, error) {
+	if local {
+		m.TileInto(ex.pe, localView, idx, distmat.LocalReplica)
+		return localView, nil, nil
+	}
+	if src >= 0 {
+		slot := &slots[src]
+		return slot.acquire(), slot, nil
+	}
+	var t *tile.Matrix
+	err := f.ret.do(func() { t = m.GetTile(ex.pe, idx, distmat.LocalReplica) })
+	return t, nil, err
 }
 
 // acquireSub resolves one operand in sub-tile mode, filling view: a strided

@@ -1,7 +1,10 @@
 package universal
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"slicing/internal/distmat"
 	"slicing/internal/gpusim"
@@ -113,35 +116,54 @@ func TestExecutePoolBoundedByTileCache(t *testing.T) {
 	}
 }
 
-// Executing the same multiply twice over one shared pool must not grow the
-// pool on the second pass: the steady state reuses recycled tile buffers
-// and partials instead of allocating (the allocation-free hot path).
+// Repeating a multiply over one shared pool must not grow the pool after
+// the first pass: the steady state reuses recycled tile buffers and
+// partials instead of allocating (the allocation-free hot path). The
+// count must not depend on when crew workers return buffers, so it holds
+// for every fetch mode, cache size and concurrency setting: each call
+// reserves its worst case in the rank's shard before its first fetch.
 func TestExecuteSteadyStateReusesPool(t *testing.T) {
 	const p, n = 4, 192
-	w := shmem.NewWorld(p)
-	a := distmat.New(w, n, n, distmat.RowBlock{}, 1)
-	b := distmat.New(w, n, n, distmat.ColBlock{}, 1)
-	c := distmat.New(w, n, n, distmat.Block2D{}, 1)
-	pool := gpusim.NewPool()
-	cfg := DefaultConfig()
-	cfg.Pool = pool
-	cfg.Stationary = StationaryC
-	w.Run(func(pe rt.PE) {
-		a.FillRandom(pe, 1)
-		b.FillRandom(pe, 2)
-		Multiply(pe, c, a, b, cfg)
-	})
-	after1 := pool.Stats()
-	w.Run(func(pe rt.PE) {
-		Multiply(pe, c, a, b, cfg)
-	})
-	after2 := pool.Stats()
-	if after2.Allocs != after1.Allocs {
-		t.Fatalf("second multiply allocated %d fresh pool buffers (want 0: all recycled)",
-			after2.Allocs-after1.Allocs)
+	type setting struct {
+		cacheTiles, prefetch, inflight int
+		subTile                        bool
 	}
-	if after2.Live != 0 {
-		t.Fatalf("%d pool elements still live after execution", after2.Live)
+	for _, st := range []setting{
+		{DefaultCacheTiles, 2, 4, false},
+		{1, 1, 1, false},
+		{2, 3, 8, false},
+		{DefaultCacheTiles, 2, 4, true},
+		{1, 3, 2, true},
+	} {
+		w := shmem.NewWorld(p)
+		part := distmat.Custom{TileRows: 48, TileCols: 32, ProcRows: 2, ProcCols: 2}
+		a := distmat.New(w, n, n, distmat.RowBlock{}, 1)
+		b := distmat.New(w, n, n, part, 1)
+		c := distmat.New(w, n, n, distmat.Block2D{}, 1)
+		pool := gpusim.NewPool()
+		cfg := DefaultConfig()
+		cfg.Pool = pool
+		cfg.Stationary = StationaryC
+		cfg.CacheTiles, cfg.PrefetchDepth, cfg.MaxInflight, cfg.SubTileFetch = st.cacheTiles, st.prefetch, st.inflight, st.subTile
+		w.Run(func(pe rt.PE) {
+			a.FillRandom(pe, 1)
+			b.FillRandom(pe, 2)
+			Multiply(pe, c, a, b, cfg)
+		})
+		after1 := pool.Stats()
+		for i := 0; i < 3; i++ {
+			w.Run(func(pe rt.PE) {
+				Multiply(pe, c, a, b, cfg)
+			})
+		}
+		after2 := pool.Stats()
+		if after2.Allocs != after1.Allocs {
+			t.Fatalf("%+v: later multiplies allocated %d fresh pool buffers (want 0: all recycled)",
+				st, after2.Allocs-after1.Allocs)
+		}
+		if after2.Live != 0 {
+			t.Fatalf("%+v: %d pool elements still live after execution", st, after2.Live)
+		}
 	}
 }
 
@@ -265,5 +287,124 @@ func TestExecuteCorrectUnderEvictionPressure(t *testing.T) {
 		if !got.AllClose(want, 1e-4) {
 			t.Fatalf("subTile=%v: executor mismatch under eviction pressure: %g", sub, got.MaxAbsDiff(want))
 		}
+	}
+}
+
+// smallBatch builds n small multiplies over a 4-PE world — misaligned
+// row/column layouts so every plan fetches remote tiles — with distinct
+// result matrices, and compiles their plans.
+func smallBatch(n int) (*shmem.World, []Problem, []*CompiledPlan, Config) {
+	w := shmem.NewWorld(4)
+	a := distmat.New(w, 48, 40, distmat.RowBlock{}, 1)
+	b := distmat.New(w, 40, 32, distmat.ColBlock{}, 1)
+	cfg := DefaultConfig()
+	cfg.Pool = gpusim.NewPool()
+	probs := make([]Problem, n)
+	cps := make([]*CompiledPlan, n)
+	for i := range probs {
+		probs[i] = NewProblem(distmat.New(w, 48, 32, distmat.Block2D{}, 1), a, b)
+		cps[i] = CompilePlans(probs[i], cfg)
+	}
+	w.Run(func(pe rt.PE) {
+		a.FillRandom(pe, 1)
+		b.FillRandom(pe, 2)
+	})
+	return w, probs, cps, cfg
+}
+
+// A warm fused batch of small plans — the serving hot path — spawns no
+// crew goroutine, carves its feeders, slots and operand views from the
+// executor's scratch and draws buffers from a reserved pool shard, so it
+// allocates nothing.
+func TestExecuteCompiledBatchAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts only meaningful without -race")
+	}
+	w, probs, cps, cfg := smallBatch(8)
+	w.Run(func(pe rt.PE) {
+		if pe.Rank() != 0 {
+			return // ExecuteCompiledBatch is one-sided: rank 0 alone runs its plans
+		}
+		if err := ExecuteCompiledBatch(pe, probs, cps, cfg); err != nil {
+			t.Error(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			_ = ExecuteCompiledBatch(pe, probs, cps, cfg) // shmem ops cannot fail
+		})
+		if allocs != 0 {
+			t.Errorf("warm ExecuteCompiledBatch of %d plans allocates %v objects per call, want 0", len(cps), allocs)
+		}
+	})
+}
+
+// A warm plan-cached Multiply — zeroing C, the cache hit, the executor,
+// the barriers — allocates nothing. Rank 0 measures while rank 1 makes
+// the matching collective calls (AllocsPerRun runs its function once more
+// than the count, as warm-up); the heap counters are process-wide, so
+// rank 1's allocations count too.
+func TestMultiplyCachedAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts only meaningful without -race")
+	}
+	const runs = 50
+	w := shmem.NewWorld(2)
+	a := distmat.New(w, 48, 40, distmat.RowBlock{}, 1)
+	b := distmat.New(w, 40, 32, distmat.ColBlock{}, 1)
+	c := distmat.New(w, 48, 32, distmat.RowBlock{}, 1)
+	cfg := DefaultConfig()
+	cfg.Pool = gpusim.NewPool()
+	cfg.Plans = NewPlanCache(4)
+	multiply := func(pe rt.PE) {
+		if _, err := Multiply(pe, c, a, b, cfg); err != nil {
+			t.Error(err)
+		}
+	}
+	w.Run(func(pe rt.PE) {
+		a.FillRandom(pe, 1)
+		b.FillRandom(pe, 2)
+		multiply(pe) // compile, reserve, spawn the crew
+		if pe.Rank() != 0 {
+			for i := 0; i < runs+1; i++ {
+				multiply(pe)
+			}
+			return
+		}
+		if allocs := testing.AllocsPerRun(runs, func() { multiply(pe) }); allocs != 0 {
+			t.Errorf("warm cached Multiply allocates %v objects per call, want 0", allocs)
+		}
+	})
+}
+
+// crewGoroutines counts the goroutines running a crew worker.
+func crewGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	return strings.Count(string(buf[:n]), "(*crew).work(")
+}
+
+// The crew stays warm across calls but is not leaked: once its executor
+// sits idle through a full collection cycle the pool drops it, and every
+// crew goroutine exits, returning the goroutine count to its baseline
+// (crews left warm by earlier tests are excluded from it, since they are
+// dropped the same way).
+func TestExecutorCrewExitsWhenIdle(t *testing.T) {
+	base := runtime.NumGoroutine() - crewGoroutines()
+	w, probs, cps, cfg := smallBatch(4)
+	w.Run(func(pe rt.PE) {
+		if err := ExecuteCompiledBatch(pe, probs, cps, cfg); err != nil {
+			t.Error(err)
+		}
+	})
+	if crewGoroutines() == 0 {
+		t.Fatal("no crew goroutine outlived the call")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines (%d crew) after the executors went idle, baseline %d: crew workers leaked",
+			n, crewGoroutines(), base)
 	}
 }

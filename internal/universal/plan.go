@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"slicing/internal/distmat"
+	"slicing/internal/gpusim"
 	"slicing/internal/index"
 )
 
@@ -163,7 +164,80 @@ type fetchSchedule struct {
 	// order (each fetch appears exactly once), so the executor retires
 	// buffers by walking a cursor instead of per-step slices.
 	evictions []fetchEvict
+	// demand is the plan's pool footprint per buffer bucket, the input to
+	// the executor's per-call reservation (executor.reserve).
+	demand []bucketDemand
 }
+
+// bucketDemand is one pool bucket's share of a plan's buffer footprint.
+// Fetch buffers live from their step's dispatch window to the end of
+// their plan-time residency; the executor adds the runtime-dependent
+// slack (prefetched steps, chains still reading evicted tiles) on top of
+// resident and caps the sum at fetches.
+type bucketDemand struct {
+	size     int // gpusim.BucketSize of the buffers
+	resident int // peak fetch buffers whose residency spans one step
+	fetches  int // fetch buffers the plan issues in total
+	partials int // steps whose GEMM partial is this size
+}
+
+// addDemand adds d to the entry for d.size, appending one if absent.
+func addDemand(ds []bucketDemand, d bucketDemand) []bucketDemand {
+	for i := range ds {
+		if ds[i].size == d.size {
+			ds[i].resident += d.resident
+			ds[i].fetches += d.fetches
+			ds[i].partials += d.partials
+			return ds
+		}
+	}
+	return append(ds, d)
+}
+
+// demandTally accumulates a plan's bucketDemand during the schedule's LRU
+// replay (the GHEtool idiom: precompute so the per-call reservation is a
+// short walk). A full-tile fetch is resident from its own step to its
+// eviction step, a sub-tile fetch for its own step only; every fetch of a
+// step is counted before the evictions that step triggers, so the running
+// maximum is the peak.
+type demandTally struct {
+	ds   []bucketDemand
+	live []int // fetch buffers of ds[i].size resident at this step
+	// seen maps each buffer byte count met so far to its ds index, so the
+	// handful of distinct shapes in a plan are bucketed once each.
+	seen []struct{ bytes, idx int }
+}
+
+// at returns the index of the entry for bytes-sized buffers, adding one.
+func (t *demandTally) at(bytes int) int {
+	for _, s := range t.seen {
+		if s.bytes == bytes {
+			return s.idx
+		}
+	}
+	size := gpusim.BucketSize(bytes / 4)
+	i := 0
+	for i < len(t.ds) && t.ds[i].size != size {
+		i++
+	}
+	if i == len(t.ds) {
+		t.ds = append(t.ds, bucketDemand{size: size})
+		t.live = append(t.live, 0)
+	}
+	t.seen = append(t.seen, struct{ bytes, idx int }{bytes, i})
+	return i
+}
+
+func (t *demandTally) fetch(bytes int) {
+	i := t.at(bytes)
+	t.ds[i].fetches++
+	t.live[i]++
+	t.ds[i].resident = max(t.ds[i].resident, t.live[i])
+}
+
+func (t *demandTally) release(bytes int) { t.live[t.at(bytes)]-- }
+
+func (t *demandTally) partial(bytes int) { t.ds[t.at(bytes)].partials++ }
 
 // planFetchSchedule replays the tile LRU over a plan's steps. cacheTiles
 // must match the capacity the plan was built with for the replay to mirror
@@ -201,14 +275,37 @@ func planFetchSchedule(pl Plan, cacheTiles int) fetchSchedule {
 			}
 		}
 	}
+	var tally demandTally
 	for i, s := range pl.Steps {
 		sched.srcA[i], sched.srcB[i] = -1, -1
+		tally.partial(s.AccumBytes)
+		if s.FetchA {
+			tally.fetch(s.ABytes)
+		}
+		if s.FetchB {
+			tally.fetch(s.BBytes)
+		}
 		if s.SubTile {
+			if s.FetchA {
+				tally.release(s.ABytes)
+			}
+			if s.FetchB {
+				tally.release(s.BBytes)
+			}
 			continue
 		}
+		mark := len(sched.evictions)
 		resolve(i, &sched.srcA[i], s.FetchA, s.ALocal, cacheKey{'A', s.Op.AIdx})
 		resolve(i, &sched.srcB[i], s.FetchB, s.BLocal, cacheKey{'B', s.Op.BIdx})
+		for _, ev := range sched.evictions[mark:] {
+			if ev.ref.mat == 'A' {
+				tally.release(pl.Steps[ev.ref.step].ABytes)
+			} else {
+				tally.release(pl.Steps[ev.ref.step].BBytes)
+			}
+		}
 	}
+	sched.demand = tally.ds
 	// Fetches still resident at plan end are retired together; emit them in
 	// step order (not map order) so identical plans always produce
 	// bit-identical schedules.

@@ -101,12 +101,12 @@ func MultiplyAccumulateResilient(pe rt.PE, prob Problem, cfg Config) (Stationary
 		var execErr error
 		if round == 0 {
 			ckpt.Reset(len(cp.Plans[rank].Steps))
-			execErr = executePlanCkpt(pe, prob, cp.Plans[rank], &cp.scheds[rank], cfg, &ckpt)
+			execErr = executePlan(pe, prob, cp.Plans[rank].Steps, &cp.scheds[rank], cfg, &ckpt)
 		} else {
 			pl := buildStepsFromOps(rank, prob, stat, curOps[rank], cfg.CacheTiles, cfg.SubTileFetch)
 			sched := planFetchSchedule(pl, cfg.CacheTiles)
 			ckpt.Reset(len(pl.Steps))
-			execErr = executePlanCkpt(pe, prob, pl, &sched, cfg, &ckpt)
+			execErr = executePlan(pe, prob, pl.Steps, &sched, cfg, &ckpt)
 		}
 
 		// Status exchange, outside any fault scope: local writes, a

@@ -21,6 +21,7 @@ func MultiplySparse(pe rt.PE, c *distmat.Matrix, a *distmat.Sparse, b *distmat.M
 	// Stationary A would keep the sparse matrix in place; the auto rule
 	// compares dense element counts, which is still a reasonable proxy.
 	plan := BuildPlan(pe.Rank(), prob, cfg.Stationary, cfg.CacheTiles)
+	pool := cfg.Pool.Shard(pe.Rank())
 
 	aCache := map[index.TileIdx]*tile.CSR{}
 	fetched := map[cacheKey]*distmat.TileFuture{}
@@ -54,14 +55,14 @@ func MultiplySparse(pe rt.PE, c *distmat.Matrix, a *distmat.Sparse, b *distmat.M
 		bSlice := bTile.View(s.Op.K.Begin-bb.Rows.Begin, s.Op.N.Begin-bb.Cols.Begin, s.Op.K.Len(), s.Op.N.Len())
 
 		rows, cols := s.Op.M.Len(), s.Op.N.Len()
-		buf := cfg.Pool.Get(rows * cols)
+		buf := pool.Get(rows * cols)
 		partial := tile.FromSlice(rows, cols, buf)
 		tile.SpMM(partial, aSlice, bSlice)
 		// Timed backends price the SpMM as its dense-equivalent GEMM, an
 		// upper bound until the device model grows a sparse roofline.
 		rt.ChargeGemm(pe, rows, cols, s.Op.K.Len())
 		c.AccumulateSubTile(pe, s.Op.CIdx, distmat.LocalReplica, subRect(s.Op), partial)
-		cfg.Pool.Put(buf)
+		pool.Put(buf)
 	}
 	pe.Barrier()
 	if c.Replication() > 1 {
