@@ -1,13 +1,14 @@
-// Package baselines implements the classical distributed matrix
-// multiplication algorithms the paper's universal algorithm generalizes:
-// SUMMA (2D, stationary C, broadcast-based), Cannon's algorithm (2D with
-// skewed rotation), 1.5D (1D partitioning with replication), and 2.5D
-// (replicated 2D grids). Each imposes the preconditions traditional
-// implementations impose — aligned tiles, particular grids, divisibility —
-// which is exactly the limitation (§1) that motivates the universal
-// algorithm. All are built on the same one-sided PGAS substrate and are
-// verified against the serial reference, serving both as correctness
-// cross-checks and as comparison points in the benchmark harness.
+// Package baselines holds test-only reference implementations of the
+// classical distributed matrix multiplication algorithms the paper's
+// universal algorithm generalizes: SUMMA (2D, stationary C,
+// broadcast-based), Cannon's algorithm (2D with skewed rotation), 1.5D
+// (1D partitioning with replication), and 2.5D (replicated 2D grids). Each
+// imposes the preconditions traditional implementations impose — aligned
+// tiles, particular grids, divisibility — which is exactly the limitation
+// (§1) that motivates the universal algorithm. All are built on the same
+// one-sided PGAS substrate and verified against the serial reference. No
+// package imports them, so they live in _test.go files and ship in no
+// binary.
 package baselines
 
 import (

@@ -170,10 +170,11 @@ func RunServeLoad(o ServeOptions) ServeResult {
 
 // RunServeNaive measures the pre-serving baseline at the same workload: a
 // sequential loop issuing one collective per request, each rebuilding its
-// plans and fetch schedules from scratch with no cache, no batching, and
-// per-request synchronization. This is what sharing the world across
-// tenants looked like before the serving layer existed (concurrent callers
-// must serialize their collectives).
+// plans and fetch schedules from scratch with no cache (a fresh PlanCache
+// per request, so the world's shared cache is never consulted), no
+// batching, and per-request synchronization. This is what sharing the
+// world across tenants looked like before the serving layer existed
+// (concurrent callers must serialize their collectives).
 func RunServeNaive(o ServeOptions) ServeResult {
 	o = o.withDefaults()
 	f := newServeFixture(o)
@@ -183,9 +184,10 @@ func RunServeNaive(o ServeOptions) ServeResult {
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		t0 := time.Now()
+		cfg := universal.Config{Plans: universal.NewPlanCache(0)}
 		f.w.Run(func(pe rt.PE) {
 			f.cs[0].Zero(pe)
-			universal.MultiplyAccumulate(pe, prob, universal.Config{})
+			universal.MultiplyAccumulate(pe, prob, cfg)
 		})
 		lat = append(lat, time.Since(t0))
 	}

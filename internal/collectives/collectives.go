@@ -5,10 +5,9 @@
 // get and accumulate).
 //
 // The universal algorithm itself needs none of these; they exist for the
-// baselines the paper compares against (SUMMA's row/column broadcasts,
-// 2.5D replica reductions, DTensor's redistribute, COSMA's group
-// all-reduce), exactly the "packed collectives" dependency the paper calls
-// out as a vendor-support burden (§1, §5.2).
+// DTensor-style comparison system (its redistribute and reductions), the
+// "packed collectives" dependency the paper calls out as a vendor-support
+// burden (§1, §5.2).
 package collectives
 
 import (

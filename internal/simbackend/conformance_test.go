@@ -62,6 +62,36 @@ func scenarios(slots int) []scenario {
 // Every conformance test drives worlds through it, so the setup (operands,
 // seeds, gather) stays identical across backends and configs.
 func runScenario(w rt.World, sc scenario, cfg universal.Config) (*tile.Matrix, universal.Stationary) {
+	return runScenarioWith(w, sc, func(pe rt.PE, c, a, b *distmat.Matrix) universal.Stationary {
+		s, _ := universal.Multiply(pe, c, a, b, cfg)
+		return s
+	})
+}
+
+// runPerRank is runScenario with every rank building and executing its own
+// plan (BuildPlanMode + ExecutePlan): a reference independent of
+// CompilePlans and of every plan cache.
+func runPerRank(w rt.World, sc scenario, cfg universal.Config) *tile.Matrix {
+	out, _ := runScenarioWith(w, sc, func(pe rt.PE, c, a, b *distmat.Matrix) universal.Stationary {
+		prob := universal.NewProblem(c, a, b)
+		c.Zero(pe)
+		plan := universal.BuildPlanMode(pe.Rank(), prob, cfg.Stationary, cfg.CacheTiles, cfg.SubTileFetch)
+		if err := universal.ExecutePlan(pe, prob, plan, cfg); err != nil {
+			panic(err) // the conformance backends inject no faults
+		}
+		pe.Barrier()
+		if c.Replication() > 1 {
+			c.ReduceReplicas(pe, cfg.ReduceOrigin)
+			c.BroadcastReplica(pe, cfg.ReduceOrigin)
+		}
+		return plan.Stationary
+	})
+	return out
+}
+
+// runScenarioWith lays out sc's operands on w, fills them, runs multiply
+// on every PE and gathers C.
+func runScenarioWith(w rt.World, sc scenario, multiply func(pe rt.PE, c, a, b *distmat.Matrix) universal.Stationary) (*tile.Matrix, universal.Stationary) {
 	a := distmat.New(w, sc.m, sc.k, sc.partA, sc.ca)
 	bm := distmat.New(w, sc.k, sc.n, sc.partB, sc.cb)
 	c := distmat.New(w, sc.m, sc.n, sc.partC, sc.cc)
@@ -70,7 +100,7 @@ func runScenario(w rt.World, sc scenario, cfg universal.Config) (*tile.Matrix, u
 	w.Run(func(pe rt.PE) {
 		a.FillRandom(pe, 11)
 		bm.FillRandom(pe, 22)
-		s, _ := universal.Multiply(pe, c, a, bm, cfg)
+		s := multiply(pe, c, a, bm)
 		pe.Barrier()
 		if pe.Rank() == 0 {
 			stat = s
@@ -332,10 +362,10 @@ func TestPlanCacheConformanceAcrossBackends(t *testing.T) {
 	for _, b := range conformanceBackends(sys) {
 		for _, sc := range scenarios(p) {
 			t.Run(b.Name()+"/"+sc.name, func(t *testing.T) {
-				fresh, _ := runUniversal(b, p, sc)
-
 				cfg := universal.DefaultConfig()
 				cfg.SyncReplicas = true
+				fresh := runPerRank(b.NewWorld(p), sc, cfg)
+
 				cfg.Plans = universal.NewPlanCache(8)
 				w := b.NewWorld(p)
 				cold, _ := runScenario(w, sc, cfg) // miss: compiles once

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -258,3 +259,38 @@ func benchGemmParallel(b *testing.B, workers int, impl func(c, a, bm *Matrix, wo
 
 func BenchmarkGemmParallelSharedPack4(b *testing.B) { benchGemmParallel(b, 4, GemmParallel) }
 func BenchmarkGemmParallelRowBands4(b *testing.B)   { benchGemmParallel(b, 4, gemmParallelRowBands) }
+
+// gemmParallelRowBands is the earlier row-band parallel path, kept in a
+// test file as the benchmark baseline that shows the shared-pack win:
+// every band re-packs all of B, so its packB panel count scales with the
+// worker count.
+func gemmParallelRowBands(c, a, b *Matrix, workers int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	m := a.Rows
+	if workers > m {
+		workers = m
+	}
+	if workers <= 1 || m*a.Cols*b.Cols < 64*64*64 {
+		Gemm(c, a, b)
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (m + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		lo := w * chunk
+		hi := min(lo+chunk, m)
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			cv := c.View(lo, 0, hi-lo, c.Cols)
+			av := a.View(lo, 0, hi-lo, a.Cols)
+			Gemm(cv, av, b)
+		}(lo, hi)
+	}
+	wg.Wait()
+}

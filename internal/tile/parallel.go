@@ -247,38 +247,3 @@ func GemmParallel(c, a, b *Matrix, workers int) {
 	gemmScratchPool.Put(bs)
 	parStatePool.Put(st)
 }
-
-// gemmParallelRowBands is the PR 3 row-band parallel path, kept unexported
-// as the benchmark baseline that shows the shared-pack win: every band
-// re-packs all of B, so its packB panel count scales with the worker
-// count.
-func gemmParallelRowBands(c, a, b *Matrix, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	m := a.Rows
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 || m*a.Cols*b.Cols < 64*64*64 {
-		Gemm(c, a, b)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, m)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			cv := c.View(lo, 0, hi-lo, c.Cols)
-			av := a.View(lo, 0, hi-lo, a.Cols)
-			Gemm(cv, av, b)
-		}(lo, hi)
-	}
-	wg.Wait()
-}

@@ -186,8 +186,9 @@ func (cp *CompiledPlan) Steps() int {
 }
 
 // CompilePlans runs the slicing pass for every rank and freezes the result
-// into a CompiledPlan. Rank plans are independent, so they fan out across a
-// worker pool exactly like the estimator's plan replay.
+// into a CompiledPlan. It is the one source of a whole-world plan set:
+// multiplies reach it through a PlanCache, estimators directly. Rank plans
+// are independent, so they fan out across a worker pool.
 //
 // When cfg.Exclude names ranks, the compiled plan covers the shrunken
 // world: excluded ranks get empty plans (they still barrier, so the
@@ -196,18 +197,18 @@ func (cp *CompiledPlan) Steps() int {
 // primitive the recovery subsystem builds on. At least one rank must
 // survive.
 func CompilePlans(prob Problem, cfg Config) *CompiledPlan {
+	return compilePlans(prob, cfg, true)
+}
+
+// compilePlans is CompilePlans' body. With scheds false it skips the
+// executor's fetch schedules, which the model replay never reads:
+// SimulateMultiply compiles that way, since its plan never reaches an
+// executor.
+func compilePlans(prob Problem, cfg Config, scheds bool) *CompiledPlan {
 	key := PlanKeyOf(prob, cfg)
-	cp := &CompiledPlan{
-		Key:    key,
-		Plans:  make([]Plan, key.NumPE),
-		scheds: make([]fetchSchedule, key.NumPE),
-	}
-	if key.Excluded == 0 {
-		rt.ForEachIndex(key.NumPE, func(rank int) {
-			cp.Plans[rank] = BuildPlanMode(rank, prob, key.Stationary, key.CacheTiles, key.SubTile)
-			cp.scheds[rank] = planFetchSchedule(cp.Plans[rank], key.CacheTiles)
-		})
-		return cp
+	cp := &CompiledPlan{Key: key, Plans: make([]Plan, key.NumPE)}
+	if scheds {
+		cp.scheds = make([]fetchSchedule, key.NumPE)
 	}
 	excl := normalizeExclude(cfg.Exclude)
 	dead := make([]bool, key.NumPE)
@@ -231,7 +232,9 @@ func CompilePlans(prob Problem, cfg Config) *CompiledPlan {
 			ops = append(ops, adoptedOps(rank, prob, key.Stationary, excl, survivors)...)
 			cp.Plans[rank] = buildStepsFromOps(rank, prob, key.Stationary, ops, key.CacheTiles, key.SubTile)
 		}
-		cp.scheds[rank] = planFetchSchedule(cp.Plans[rank], key.CacheTiles)
+		if scheds {
+			cp.scheds[rank] = planFetchSchedule(cp.Plans[rank], key.CacheTiles)
+		}
 	})
 	return cp
 }
@@ -239,13 +242,12 @@ func CompilePlans(prob Problem, cfg Config) *CompiledPlan {
 // adoptedOps returns the slice of the excluded ranks' ops that rank adopts
 // under the deterministic round-robin redistribution: the excluded ranks'
 // generated ops, concatenated in (excluded rank, op index) order, dealt
-// one at a time across the sorted survivors. Every rank — with no
-// communication — computes the same global deal, which is what lets both
-// the whole-world compile above and the per-rank repair path hand out
-// consistent assignments. Ops adopted by a survivor in another replica
-// group still land each elementary product exactly once: A/B replica
-// reads are identical copies, and ReduceReplicas sums whichever replica
-// slot an accumulate reached into the origin.
+// one at a time across the sorted survivors (nil when none are excluded).
+// The deal depends only on the problem and the excluded set, so every
+// rank that derives it agrees on the assignment. Ops adopted by a
+// survivor in another replica group still land each elementary product
+// exactly once: A/B replica reads are identical copies, and ReduceReplicas
+// sums whichever replica slot an accumulate reached into the origin.
 func adoptedOps(rank int, prob Problem, stat Stationary, excl, survivors []int) []LocalOp {
 	pos := -1
 	for i, s := range survivors {
@@ -268,38 +270,6 @@ func adoptedOps(rank int, prob Problem, stat Stationary, excl, survivors []int) 
 		}
 	}
 	return out
-}
-
-// buildRankPlan builds one rank's plan honoring cfg.Exclude — the
-// per-rank (cacheless) counterpart of CompilePlans' exclusion path, used
-// by MultiplyAccumulate when no plan cache is configured. cfg must
-// already have defaults applied.
-func buildRankPlan(rank int, prob Problem, cfg Config) Plan {
-	if len(cfg.Exclude) == 0 {
-		return BuildPlanMode(rank, prob, cfg.Stationary, cfg.CacheTiles, cfg.SubTileFetch)
-	}
-	p := prob.C.World().NumPE()
-	excl := normalizeExclude(cfg.Exclude)
-	stat := prob.ResolveStationary(cfg.Stationary)
-	dead := make([]bool, p)
-	for _, r := range excl {
-		if r < 0 || r >= p {
-			panic(fmt.Sprintf("universal: excluded rank %d outside world of %d PEs", r, p))
-		}
-		dead[r] = true
-	}
-	if dead[rank] {
-		return Plan{Rank: rank, Stationary: stat}
-	}
-	survivors := make([]int, 0, p-len(excl))
-	for r := 0; r < p; r++ {
-		if !dead[r] {
-			survivors = append(survivors, r)
-		}
-	}
-	ops := GenerateOps(rank, prob, stat)
-	ops = append(ops, adoptedOps(rank, prob, stat, excl, survivors)...)
-	return buildStepsFromOps(rank, prob, stat, ops, cfg.CacheTiles, cfg.SubTileFetch)
 }
 
 // compiledPlanJSON is the serialized form: the key and the step schedules.

@@ -45,13 +45,13 @@ type Config struct {
 	// sharing a pool never contend on its lock. Nil allocates one per
 	// call.
 	Pool *gpusim.Pool
-	// Plans, when non-nil, makes Multiply/MultiplyAccumulate look up the
-	// problem's CompiledPlan in this cache instead of re-running the §4.1
-	// slicing pass per call: a hit executes the precompiled per-rank plan
-	// and fetch schedule directly (zero slicing work, zero additional
-	// allocations), a miss compiles once for the whole world and caches
-	// the result. Use PlansOf(world) for the world's shared cache. Nil
-	// preserves the per-rank rebuild-every-call behaviour.
+	// Plans is the compiled-plan cache Multiply/MultiplyAccumulate (and
+	// their resilient forms) take the problem's CompiledPlan from: a hit
+	// executes the precompiled per-rank plan and fetch schedule directly
+	// (zero slicing work, zero additional allocations), a miss runs the
+	// §4.1 slicing pass once for the whole world and caches the result.
+	// Nil means the world's shared cache, PlansOf(world); pass a fresh
+	// NewPlanCache to compile independently of it.
 	Plans *PlanCache
 	// ReduceOrigin is the replica partial C results are reduced into when C
 	// is replicated.
@@ -122,37 +122,42 @@ func Multiply(pe rt.PE, c, a, b *distmat.Matrix, cfg Config) (Stationary, error)
 }
 
 // MultiplyAccumulate computes C += A·B assuming C already holds the values
-// to accumulate onto (zeroed for a plain product). Collective. With
-// cfg.Plans set, the plan comes from the compiled-plan cache (built once
-// per world on a miss, re-executed with zero slicing work on a hit);
-// otherwise each rank rebuilds its plan per call as before. Error
-// semantics are Multiply's.
+// to accumulate onto (zeroed for a plain product). Collective. The plan
+// comes from the compiled-plan cache (cfg.Plans, or the world's shared
+// cache): built once per world on a miss, re-executed with zero slicing
+// work on a hit. Error semantics are Multiply's.
 func MultiplyAccumulate(pe rt.PE, prob Problem, cfg Config) (Stationary, error) {
 	cfg = cfg.withDefaults()
-	var stat Stationary
-	var err error
-	if cfg.Plans != nil {
-		cp := cfg.Plans.GetOrCompile(prob, cfg)
-		rank := pe.Rank()
-		err = executePlan(pe, prob, cp.Plans[rank].Steps, &cp.scheds[rank], cfg, nil)
-		stat = cp.Key.Stationary
-	} else {
-		plan := buildRankPlan(pe.Rank(), prob, cfg)
-		sched := planFetchSchedule(plan, cfg.CacheTiles)
-		err = executePlan(pe, prob, plan.Steps, &sched, cfg, nil)
-		stat = plan.Stationary
+	cp := compiledPlanOf(pe, prob, cfg)
+	rank := pe.Rank()
+	err := executePlan(pe, prob, cp.Plans[rank].Steps, &cp.scheds[rank], cfg, nil)
+	finishMultiply(pe, prob, cfg)
+	return cp.Key.Stationary, err
+}
+
+// compiledPlanOf resolves the CompiledPlan a collective multiply runs:
+// from cfg.Plans, or from the world's shared cache when that is nil.
+func compiledPlanOf(pe rt.PE, prob Problem, cfg Config) *CompiledPlan {
+	plans := cfg.Plans
+	if plans == nil {
+		plans = PlansOf(pe.World())
 	}
-	pe.Barrier() // all one-sided updates must land before replica reduction
+	return plans.GetOrCompile(prob, cfg)
+}
+
+// finishMultiply is the collective tail of every multiply: a barrier so
+// all one-sided updates land, then the replica reduction of a replicated
+// C. It runs outside the executor's fault scope, so it proceeds (and stays
+// barrier-matched across ranks) even after an error; the reduced values
+// are only meaningful if no rank failed.
+func finishMultiply(pe rt.PE, prob Problem, cfg Config) {
+	pe.Barrier()
 	if prob.C.Replication() > 1 {
-		// The collectives run outside the executor's fault scope, so they
-		// proceed (and stay barrier-matched across ranks) even after an
-		// error; the reduced values are only meaningful if no rank failed.
 		prob.C.ReduceReplicas(pe, cfg.ReduceOrigin)
 		if cfg.SyncReplicas {
 			prob.C.BroadcastReplica(pe, cfg.ReduceOrigin)
 		}
 	}
-	return stat, err
 }
 
 // tileSlot is one fetched tile buffer with its in-flight future and a
@@ -728,26 +733,16 @@ func acquireSub(pe rt.PE, m *distmat.Matrix, local bool, idx index.TileIdx,
 	return nil, nil
 }
 
-// gemmAccumulate multiplies the sliced tiles into a pooled scratch buffer
-// and atomically accumulates the result into C — the GEMM→accumulate chain
-// of §4.2. aSlice and bSlice must already be sliced to the op's (M,K) and
-// (K,N) bounds. It performs no heap allocation in the steady state: the
-// partial lives in a pooled buffer and its header on the stack.
-func gemmAccumulate(pe rt.PE, prob Problem, op LocalOp, aSlice, bSlice *tile.Matrix, pool *gpusim.Pool) {
-	gemmAccumulateWorkers(pe, prob, op, aSlice, bSlice, pool, 1)
-}
-
-// gemmAccumulateWorkers is gemmAccumulate with the local GEMM spread across
-// workers goroutines (Config.KernelWorkers); workers <= 1 stays on the
-// single-goroutine packed kernel.
-func gemmAccumulateWorkers(pe rt.PE, prob Problem, op LocalOp, aSlice, bSlice *tile.Matrix, pool *gpusim.Pool, workers int) {
-	gemmAccumulateChain(pe, prob, op, aSlice, bSlice, pool, workers, nil)
-}
-
-// gemmAccumulateChain is the crew's chain body. With ret non-nil the
-// accumulate runs under the retry budget and a fatal fault comes back as
-// an error with the scratch buffer already back in the pool; with ret nil
-// faults panic through unchanged (the IR path's contract).
+// gemmAccumulateChain is the GEMM→accumulate chain of §4.2: it multiplies
+// the sliced tiles into a pooled scratch buffer and accumulates the result
+// into C. aSlice and bSlice must already be sliced to the op's (M,K) and
+// (K,N) bounds; workers > 1 spreads the GEMM across that many goroutines
+// (Config.KernelWorkers). It performs no heap allocation in the steady
+// state: the partial lives in a pooled buffer and its header on the stack.
+// With ret non-nil the accumulate runs under the retry budget and a fatal
+// fault comes back as an error with the scratch buffer already back in the
+// pool; with ret nil faults panic through unchanged (the IR path's
+// contract).
 func gemmAccumulateChain(pe rt.PE, prob Problem, op LocalOp, aSlice, bSlice *tile.Matrix, pool *gpusim.Pool, workers int, ret *retrier) error {
 	rows, cols := op.M.Len(), op.N.Len()
 	buf := pool.Get(rows * cols)
@@ -776,7 +771,7 @@ func RunStep(pe rt.PE, prob Problem, s Step, aTile, bTile *tile.Matrix, pool *gp
 	bb := prob.B.TileBounds(s.Op.BIdx)
 	aSlice := aTile.View(s.Op.M.Begin-ab.Rows.Begin, s.Op.K.Begin-ab.Cols.Begin, s.Op.M.Len(), s.Op.K.Len())
 	bSlice := bTile.View(s.Op.K.Begin-bb.Rows.Begin, s.Op.N.Begin-bb.Cols.Begin, s.Op.K.Len(), s.Op.N.Len())
-	gemmAccumulate(pe, prob, s.Op, aSlice, bSlice, pool)
+	gemmAccumulateChain(pe, prob, s.Op, aSlice, bSlice, pool, 1, nil)
 }
 
 func subRect(op LocalOp) (r index.Rect) {

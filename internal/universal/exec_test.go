@@ -167,7 +167,7 @@ func TestExecuteSteadyStateReusesPool(t *testing.T) {
 	}
 }
 
-// gemmAccumulate — the per-step GEMM→accumulate chain — must be heap
+// gemmAccumulateChain — the per-step GEMM→accumulate chain — must be heap
 // allocation free in the steady state: pooled partial buffer, stack view
 // headers, chunked in-place accumulate.
 func TestGemmAccumulateAllocFree(t *testing.T) {
@@ -207,12 +207,12 @@ func TestGemmAccumulateAllocFree(t *testing.T) {
 		bb := prob.B.TileBounds(op.BIdx)
 		aT.ViewInto(&aSlice, op.M.Begin-ab.Rows.Begin, op.K.Begin-ab.Cols.Begin, op.M.Len(), op.K.Len())
 		bT.ViewInto(&bSlice, op.K.Begin-bb.Rows.Begin, op.N.Begin-bb.Cols.Begin, op.K.Len(), op.N.Len())
-		gemmAccumulate(pe, prob, op, &aSlice, &bSlice, pool) // warm pools
+		gemmAccumulateChain(pe, prob, op, &aSlice, &bSlice, pool, 1, nil) // warm pools
 		allocs := testing.AllocsPerRun(10, func() {
-			gemmAccumulate(pe, prob, op, &aSlice, &bSlice, pool)
+			gemmAccumulateChain(pe, prob, op, &aSlice, &bSlice, pool, 1, nil)
 		})
 		if allocs > 0 {
-			t.Errorf("gemmAccumulate allocates %v objects per call in steady state, want 0", allocs)
+			t.Errorf("gemmAccumulateChain allocates %v objects per call in steady state, want 0", allocs)
 		}
 	})
 }

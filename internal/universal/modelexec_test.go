@@ -133,3 +133,18 @@ func TestModelExecutorSimulateZeroAllocs(t *testing.T) {
 		t.Fatalf("Simulate allocates %.0f per sweep point, want 0", allocs)
 	}
 }
+
+// SimulateMultiply honours Config.Exclude: it is CompilePlans plus the
+// model replay, so on the same exclusion it equals ModelExecutor.Simulate
+// of the compiled plan bit for bit, and differs from the full world.
+func TestSimulateMultiplyExcludeMatchesModelExecutor(t *testing.T) {
+	sys := H100System()
+	prob := modelProblem(8, 512, 384, 256, distmat.RowBlock{}, distmat.ColBlock{}, distmat.Block2D{}, 1, 1)
+	cfg := DefaultConfig()
+	cfg.Exclude = []int{3}
+	got := SimulateMultiply(prob, cfg, sys)
+	requireSimResultsEqual(t, got, NewModelExecutor().Simulate(prob, CompilePlans(prob, cfg), cfg, sys))
+	if full := SimulateMultiply(prob, DefaultConfig(), sys); full.Makespan == got.Makespan {
+		t.Fatalf("excluding rank 3 left the makespan at the full world's %v", full.Makespan)
+	}
+}

@@ -1,8 +1,12 @@
 package universal
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	rt "slicing/internal/runtime"
 )
@@ -47,6 +51,8 @@ type planEntry struct {
 type planFlight struct {
 	done chan struct{}
 	cp   *CompiledPlan
+	// failure is the value CompilePlans panicked with, nil on success.
+	failure any
 }
 
 // NewPlanCache returns an empty cache holding at most capacity compiled
@@ -152,7 +158,10 @@ func (c *PlanCache) Put(cp *CompiledPlan) {
 // and caching it on a miss. Concurrent callers with the same key — the P
 // ranks of one collective Multiply, or many serving requests with the same
 // shapes — coalesce onto a single compilation. The hit path allocates
-// nothing.
+// nothing. If the compilation panics (an invalid problem, such as one
+// excluding every rank), the leader and every coalesced waiter panic with
+// the same value and the key is released, so the world fails together and
+// a later call compiles afresh.
 func (c *PlanCache) GetOrCompile(prob Problem, cfg Config) *CompiledPlan {
 	key := PlanKeyOf(prob, cfg)
 	if cp, ok := c.Get(key); ok {
@@ -171,24 +180,38 @@ func (c *PlanCache) GetOrCompile(prob Problem, cfg Config) *CompiledPlan {
 		c.hits.Add(1)
 		return cp
 	}
-	if fl, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		c.coalesced.Add(1)
-		<-fl.done
-		return fl.cp
+	fl, waiting := c.inflight[key]
+	if !waiting {
+		fl = &planFlight{done: make(chan struct{})}
+		c.inflight[key] = fl
 	}
-	fl := &planFlight{done: make(chan struct{})}
-	c.inflight[key] = fl
 	c.mu.Unlock()
 
-	fl.cp = CompilePlans(prob, cfg)
-	c.builds.Add(1)
-	c.Put(fl.cp)
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	close(fl.done)
+	if waiting {
+		c.coalesced.Add(1)
+		<-fl.done
+	} else {
+		fl.cp, fl.failure = compileRecovering(prob, cfg)
+		if fl.failure == nil {
+			c.builds.Add(1)
+			c.Put(fl.cp)
+		}
+		c.mu.Lock()
+		delete(c.inflight, key)
+		c.mu.Unlock()
+		close(fl.done)
+	}
+	if fl.failure != nil {
+		panic(fl.failure)
+	}
 	return fl.cp
+}
+
+// compileRecovering runs CompilePlans, returning a panic as a value so the
+// flight can be settled before the panic reaches any caller.
+func compileRecovering(prob Problem, cfg Config) (cp *CompiledPlan, failure any) {
+	defer func() { failure = recover() }()
+	return CompilePlans(prob, cfg), nil
 }
 
 // PlanCacheStats is a snapshot of cache behaviour. HitPct is the hit rate
@@ -225,18 +248,55 @@ func (c *PlanCache) Stats() PlanCacheStats {
 	}
 }
 
-// worldPlans maps each world to its shared plan cache. Worlds are compared
-// by interface identity, so every consumer of one world sees one cache.
-var worldPlans sync.Map // rt.World -> *PlanCache
+// worlds maps each world's weak identity to the state this package keeps
+// for it. Weak keys never keep a world (or the matrices it holds) alive:
+// once a world is collected its cleanup drops the entry.
+var worlds sync.Map // weak.Pointer[byte] -> *worldState
+
+// worldState is the per-world state: the shared plan cache and each
+// rank's resilient status segment (statusSegmentOf).
+type worldState struct {
+	plans  *PlanCache
+	status []statusSegment // indexed by rank; each rank touches only its own
+}
+
+// stateOf returns w's state, creating it on first use. Worlds are compared
+// by identity, so every consumer of one world sees one state.
+// Allocation-free once the state exists.
+func stateOf(w rt.World) *worldState {
+	obj := worldObject(w)
+	key := weak.Make(obj)
+	if st, ok := worlds.Load(key); ok {
+		return st.(*worldState)
+	}
+	st, loaded := worlds.LoadOrStore(key, &worldState{
+		plans:  NewPlanCache(DefaultPlanCacheSize),
+		status: make([]statusSegment, w.NumPE()),
+	})
+	if !loaded {
+		runtime.AddCleanup(obj, worlds.Delete, any(key))
+	}
+	return st.(*worldState)
+}
+
+// worldObject returns the heap object that identifies w: what a pointer
+// world points to, or what the pointer inside a single-field wrapper struct
+// (chaos's capability-forwarding worlds) points to. Other world types
+// panic.
+func worldObject(w rt.World) *byte {
+	v := reflect.ValueOf(w)
+	for v.Kind() == reflect.Struct && v.NumField() == 1 {
+		v = v.Field(0)
+	}
+	if v.Kind() != reflect.Pointer || v.IsNil() {
+		panic(fmt.Sprintf("universal: world %T has no pointer identity", w))
+	}
+	return (*byte)(v.UnsafePointer())
+}
 
 // PlansOf returns the plan cache attached to a world, creating it with
-// DefaultPlanCacheSize on first use. This is how long-lived consumers (the
-// serving loop, repeated benchmark harnesses) share compiled plans without
-// threading a cache through every call site.
-func PlansOf(w rt.World) *PlanCache {
-	if c, ok := worldPlans.Load(w); ok {
-		return c.(*PlanCache)
-	}
-	c, _ := worldPlans.LoadOrStore(w, NewPlanCache(DefaultPlanCacheSize))
-	return c.(*PlanCache)
-}
+// DefaultPlanCacheSize on first use. It is the cache a multiply with a nil
+// Config.Plans uses, so long-lived consumers (the serving loop, repeated
+// benchmark harnesses) share compiled plans without threading a cache
+// through every call site. The cache lives as long as the world.
+func PlansOf(w rt.World) *PlanCache { return stateOf(w).plans }

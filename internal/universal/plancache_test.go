@@ -2,12 +2,17 @@ package universal
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"slicing/internal/distmat"
+	"slicing/internal/gpusim"
 	rt "slicing/internal/runtime"
 	"slicing/internal/shmem"
+	"slicing/internal/tile"
 )
 
 // cacheProb builds a small problem whose key varies with m, giving tests a
@@ -236,20 +241,22 @@ func TestCachedMultiplyRunsZeroSlicingWork(t *testing.T) {
 		t.Fatalf("world-wide compilations: %d, want 1", st.Builds)
 	}
 
-	// And the uncached path really does rebuild per rank per call — the
-	// contrast that makes the counter meaningful.
-	before = PlanBuildCount()
-	uncached := cfg
-	uncached.Plans = nil
-	w.Run(func(pe rt.PE) {
-		Multiply(pe, c, a, b, uncached)
-	})
-	if got := PlanBuildCount() - before; got != int64(p) {
-		t.Fatalf("uncached multiply ran %d slicing passes, want %d", got, p)
+	// A nil Plans is the world's shared cache, distinct from cfg.Plans: it
+	// compiles once on its first call and hits from then on.
+	shared := cfg
+	shared.Plans = nil
+	for call, want := range []int64{p, 0} {
+		before = PlanBuildCount()
+		w.Run(func(pe rt.PE) {
+			Multiply(pe, c, a, b, shared)
+		})
+		if got := PlanBuildCount() - before; got != want {
+			t.Fatalf("world-cache multiply %d ran %d slicing passes, want %d", call, got, want)
+		}
 	}
 }
 
-// Cached and uncached execution must agree numerically.
+// Cached execution, on a miss and on a hit, must match the serial product.
 func TestCachedMultiplyMatchesUncached(t *testing.T) {
 	const p, m, n, k = 4, 25, 22, 27
 	for _, sub := range []bool{false, true} {
@@ -297,4 +304,159 @@ func TestPlansOfPerWorldIdentity(t *testing.T) {
 	if PlansOf(w1).Capacity() != DefaultPlanCacheSize {
 		t.Fatalf("implicit cache capacity %d", PlansOf(w1).Capacity())
 	}
+}
+
+// runRecovered runs body on w and returns what World.Run panicked with,
+// nil when it returned normally. A world that does not return within the
+// timeout fails the test: some rank is stuck.
+func runRecovered(t *testing.T, w rt.World, body func(pe rt.PE)) any {
+	t.Helper()
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		w.Run(body)
+	}()
+	select {
+	case v := <-got:
+		return v
+	case <-time.After(10 * time.Second):
+		t.Fatal("World.Run did not return: a rank is stuck")
+		return nil
+	}
+}
+
+// Excluding every rank is an invalid problem. The rank that compiles it
+// panics, and so must every rank coalesced onto that compile, so the world
+// fails as a whole instead of hanging — through the world's shared cache
+// and an explicit one alike. The failed key is released (a retry panics
+// again rather than hanging) and the cache keeps compiling other keys.
+func TestMultiplyAllExcludedPanics(t *testing.T) {
+	const p, m, n, k = 4, 16, 8, 12
+	w := shmem.NewWorld(p)
+	a := distmat.New(w, m, k, distmat.RowBlock{}, 1)
+	b := distmat.New(w, k, n, distmat.ColBlock{}, 1)
+	c := distmat.New(w, m, n, distmat.Block2D{}, 1)
+	w.Run(func(pe rt.PE) {
+		a.FillRandom(pe, 1)
+		b.FillRandom(pe, 2)
+	})
+	ref := referenceProduct(m, n, k, 1, 2, a, b, w)
+	for _, plans := range []*PlanCache{nil, NewPlanCache(4)} {
+		cfg := DefaultConfig()
+		cfg.Plans = plans
+		cfg.Exclude = []int{0, 1, 2, 3}
+		for attempt := 0; attempt < 2; attempt++ {
+			v := runRecovered(t, w, func(pe rt.PE) {
+				Multiply(pe, c, a, b, cfg)
+			})
+			if msg, _ := v.(string); !strings.Contains(msg, "all 4 ranks excluded") {
+				t.Fatalf("explicit cache %v, attempt %d: World.Run panicked with %v, want the all-excluded panic",
+					plans != nil, attempt, v)
+			}
+		}
+		cfg.Exclude = []int{2}
+		var got *tile.Matrix
+		if v := runRecovered(t, w, func(pe rt.PE) {
+			if _, err := Multiply(pe, c, a, b, cfg); err != nil {
+				t.Error(err)
+			}
+			pe.Barrier()
+			if pe.Rank() == 0 {
+				got = c.Gather(pe, 0)
+			}
+		}); v != nil {
+			t.Fatalf("explicit cache %v: valid call after the failure panicked: %v", plans != nil, v)
+		}
+		if !got.AllClose(ref, 1e-3) {
+			t.Fatalf("explicit cache %v: maxdiff %g after the failure", plans != nil, got.MaxAbsDiff(ref))
+		}
+	}
+}
+
+// The world registry holds worlds weakly: a world dropped after it has run
+// multiplies through its shared cache, resilient status segment included,
+// is still collected.
+func TestPlansOfDoesNotPinWorld(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		w := shmem.NewWorld(2)
+		a := distmat.New(w, 16, 12, distmat.RowBlock{}, 1)
+		b := distmat.New(w, 12, 8, distmat.ColBlock{}, 1)
+		c := distmat.New(w, 16, 8, distmat.RowBlock{}, 1)
+		w.Run(func(pe rt.PE) {
+			Multiply(pe, c, a, b, DefaultConfig())
+			MultiplyResilient(pe, c, a, b, DefaultConfig())
+		})
+		if PlansOf(w).Len() != 1 {
+			t.Fatal("multiply did not go through the world's shared cache")
+		}
+		runtime.SetFinalizer(w, func(*shmem.World) { close(collected) })
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("world still reachable after PlansOf: the registry pins it")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// A nil Config.Plans runs the world's shared cache: the first Multiply
+// compiles the world's plan once (one slicing pass per rank), and every
+// later call runs zero slicing passes and allocates nothing. Rank 0
+// measures allocations while rank 1 makes the matching collective calls.
+func TestMultiplyWorldCacheAllocFree(t *testing.T) {
+	const p, runs = 2, 50
+	w := shmem.NewWorld(p)
+	a := distmat.New(w, 48, 40, distmat.RowBlock{}, 1)
+	b := distmat.New(w, 40, 32, distmat.ColBlock{}, 1)
+	c := distmat.New(w, 48, 32, distmat.RowBlock{}, 1)
+	cfg := DefaultConfig()
+	cfg.Pool = gpusim.NewPool()
+	multiply := func(pe rt.PE) {
+		if _, err := Multiply(pe, c, a, b, cfg); err != nil {
+			t.Error(err)
+		}
+	}
+	w.Run(func(pe rt.PE) {
+		a.FillRandom(pe, 1)
+		b.FillRandom(pe, 2)
+	})
+	before := PlanBuildCount()
+	w.Run(multiply)
+	if got := PlanBuildCount() - before; got != p {
+		t.Fatalf("cold multiply ran %d slicing passes, want %d (one world compile)", got, p)
+	}
+	if st := PlansOf(w).Stats(); st.Builds != 1 {
+		t.Fatalf("world cache compiled %d times, want 1", st.Builds)
+	}
+	before = PlanBuildCount()
+	w.Run(func(pe rt.PE) {
+		for i := 0; i < 3; i++ {
+			multiply(pe)
+		}
+	})
+	if got := PlanBuildCount() - before; got != 0 {
+		t.Fatalf("warm multiplies ran %d slicing passes, want 0", got)
+	}
+	if raceEnabled {
+		return // race instrumentation allocates
+	}
+	w.Run(func(pe rt.PE) {
+		if pe.Rank() != 0 {
+			for i := 0; i < runs+1; i++ {
+				multiply(pe)
+			}
+			return
+		}
+		if allocs := testing.AllocsPerRun(runs, func() { multiply(pe) }); allocs != 0 {
+			t.Errorf("warm world-cache Multiply allocates %v objects per call, want 0", allocs)
+		}
+	})
 }

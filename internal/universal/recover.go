@@ -58,22 +58,15 @@ func MultiplyResilient(pe rt.PE, c, a, b *distmat.Matrix, cfg Config) (Stationar
 func MultiplyAccumulateResilient(pe rt.PE, prob Problem, cfg Config) (Stationary, RecoveryReport, error) {
 	cfg = cfg.withDefaults()
 	rank, p := pe.Rank(), pe.NumPE()
-	var cp *CompiledPlan
-	if cfg.Plans != nil {
-		cp = cfg.Plans.GetOrCompile(prob, cfg)
-	} else {
-		cp = CompilePlans(prob, cfg)
-	}
+	cp := compiledPlanOf(pe, prob, cfg)
 	stat := cp.Key.Stationary
 
 	// Status segment layout, per rank: word 0 is the failed flag, then 16
 	// landed bits per float32 word (exact in a float32 mantissa). Any
 	// round's assignment is at most the whole plan's step count, so one
 	// stride covers every round.
-	totalSteps := cp.Steps()
-	words := 1 + (totalSteps+15)/16
-	seg := pe.AllocSymmetric(words)
-	scratch := make([]float32, words)
+	words := 1 + (cp.Steps()+15)/16
+	seg, scratch := statusSegmentOf(pe, words)
 
 	curOps := make([][]LocalOp, p)
 	for r := 0; r < p; r++ {
@@ -112,7 +105,7 @@ func MultiplyAccumulateResilient(pe rt.PE, prob Problem, cfg Config) (Stationary
 		// Status exchange, outside any fault scope: local writes, a
 		// barrier, one-sided reads of every peer, and a second barrier so
 		// no rank overwrites its status while a slower peer still reads it.
-		packStatus(pe.Local(seg), execErr != nil, &ckpt)
+		packStatus(pe.Local(seg)[:words], execErr != nil, &ckpt)
 		pe.Barrier()
 		var newly []int
 		for r := 0; r < p; r++ {
@@ -176,16 +169,35 @@ func MultiplyAccumulateResilient(pe rt.PE, prob Problem, cfg Config) (Stationary
 	report.Recovered = finalErr == nil && len(report.FailedRanks) > 0
 	sort.Ints(report.FailedRanks)
 
-	pe.Barrier() // all one-sided updates must land before replica reduction
-	if prob.C.Replication() > 1 {
-		// Outside any fault scope, so crashed ranks participate and the
-		// collective stays barrier-matched (MultiplyAccumulate's contract).
-		prob.C.ReduceReplicas(pe, cfg.ReduceOrigin)
-		if cfg.SyncReplicas {
-			prob.C.BroadcastReplica(pe, cfg.ReduceOrigin)
-		}
-	}
+	// Outside any fault scope, so crashed ranks participate and the
+	// collective stays barrier-matched.
+	finishMultiply(pe, prob, cfg)
 	return stat, report, finalErr
+}
+
+// statusSegment is one rank's record of its world's resilient status
+// segment, reused by every MultiplyResilient on that world.
+type statusSegment struct {
+	seg     rt.SegmentID
+	words   int
+	scratch []float32 // receives one peer's status
+}
+
+// statusSegmentOf returns the world's status segment, at least words long
+// per rank, and the calling rank's peer-status scratch of exactly words.
+// The segment grows (a collective allocation; symmetric segments are never
+// freed) only when a plan needs more words than any before it. Each rank decides
+// from its own record, and every rank's record has seen the same sequence
+// of collective calls, so all ranks grow at the same call and the
+// collective allocation order stays matched.
+func statusSegmentOf(pe rt.PE, words int) (rt.SegmentID, []float32) {
+	rec := &stateOf(pe.World()).status[pe.Rank()]
+	if rec.words < words {
+		rec.seg = pe.AllocSymmetric(words)
+		rec.words = words
+		rec.scratch = make([]float32, words)
+	}
+	return rec.seg, rec.scratch[:words]
 }
 
 // packStatus writes one rank's round status into its status-segment
@@ -193,9 +205,7 @@ func MultiplyAccumulateResilient(pe rt.PE, prob Problem, cfg Config) (Stationary
 // 16 per word (16-bit integers are exact in float32, the only symmetric
 // element type).
 func packStatus(dst []float32, failed bool, ckpt *Checkpoint) {
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	if failed {
 		dst[0] = 1
 	}

@@ -5,6 +5,7 @@ package universal
 // lives in internal/chaos/recovery_conformance_test.go.
 
 import (
+	"slices"
 	"testing"
 
 	"slicing/internal/distmat"
@@ -51,13 +52,21 @@ func TestExcludePlansConserveWork(t *testing.T) {
 				t.Errorf("excluded rank %d still has %d steps", r, len(cpx.Plans[r].Steps))
 			}
 		}
-		// buildRankPlan (the cacheless per-rank path) must agree with the
-		// collective compilation step-for-step in count.
+		// A survivor keeps its own ops, in order, ahead of the ops it adopts.
 		for r := 0; r < p; r++ {
-			pl := buildRankPlan(r, prob, cfgx)
-			if len(pl.Steps) != len(cpx.Plans[r].Steps) {
-				t.Errorf("exclude %v rank %d: buildRankPlan %d steps, CompilePlans %d",
-					exclude, r, len(pl.Steps), len(cpx.Plans[r].Steps))
+			own := BuildPlan(r, prob, cfg.Stationary, cfg.CacheTiles).Steps
+			if slices.Contains(exclude, r) {
+				continue
+			}
+			got := cpx.Plans[r].Steps
+			if len(got) < len(own) {
+				t.Fatalf("exclude %v rank %d: %d steps, fewer than its own %d", exclude, r, len(got), len(own))
+			}
+			for i := range own {
+				if got[i].Op != own[i].Op {
+					t.Errorf("exclude %v rank %d step %d: op %v, own plan has %v", exclude, r, i, got[i].Op, own[i].Op)
+					break
+				}
 			}
 		}
 	}
@@ -150,4 +159,55 @@ func TestCheckpointCleanRunLandsEverything(t *testing.T) {
 		}
 		pe.Barrier()
 	})
+}
+
+// MultiplyResilient keeps one status segment per world: repeated calls
+// allocate no symmetric memory after the first, and a plan needing more
+// status words grows the segment once.
+func TestMultiplyResilientReusesStatusSegment(t *testing.T) {
+	const p = 4
+	w := shmem.NewWorld(p)
+	small, a, b, c := excludeProblem(w, 30, 20, 24)
+	big, ba, bb, bc := excludeProblem(w, 180, 150, 120)
+	cfg := DefaultConfig()
+	if s, l := CompilePlans(small, cfg).Steps(), CompilePlans(big, cfg).Steps(); (l+15)/16 <= (s+15)/16 {
+		t.Fatalf("big problem has %d steps, small %d: it needs no more status words", l, s)
+	}
+	w.Run(func(pe rt.PE) {
+		for _, m := range []*distmat.Matrix{a, b, ba, bb} {
+			m.FillRandom(pe, 7)
+		}
+	})
+	// Segment IDs are sequential, so a probe allocation on either side
+	// counts what the calls allocated in between.
+	resilient := func(calls int, c, a, b *distmat.Matrix) int {
+		first := w.AllocSymmetric(1)
+		w.Run(func(pe rt.PE) {
+			for i := 0; i < calls; i++ {
+				if _, _, err := MultiplyResilient(pe, c, a, b, cfg); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		return int(w.AllocSymmetric(1)-first) - 1
+	}
+	if n := resilient(100, c, a, b); n > 1 {
+		t.Fatalf("100 resilient calls allocated %d segments, want at most 1", n)
+	}
+	if n := resilient(2, bc, ba, bb); n != 1 {
+		t.Fatalf("a plan with more steps allocated %d segments, want 1 (growth)", n)
+	}
+	if n := resilient(2, c, a, b); n != 0 {
+		t.Fatalf("a smaller plan after growth allocated %d segments, want 0", n)
+	}
+	ref := referenceProduct(180, 150, 120, 7, 7, ba, bb, w)
+	var got *tile.Matrix
+	w.Run(func(pe rt.PE) {
+		if pe.Rank() == 0 {
+			got = bc.Gather(pe, 0)
+		}
+	})
+	if !got.AllClose(ref, 1e-3) {
+		t.Fatalf("maxdiff %g after reusing the status segment", got.MaxAbsDiff(ref))
+	}
 }

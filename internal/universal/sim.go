@@ -3,7 +3,6 @@ package universal
 import (
 	"slicing/internal/fabric"
 	"slicing/internal/gpusim"
-	rt "slicing/internal/runtime"
 	"slicing/internal/simnet"
 )
 
@@ -75,27 +74,15 @@ type SimResult struct {
 
 // SimulateMultiply runs the universal algorithm's direct execution (§4.2)
 // through the discrete-event performance model instead of real arithmetic:
-// the same per-rank plans (iteration offset, tile cache, prefetch depth,
-// bounded GEMM/accumulate concurrency) drive a schedule over compute
-// engines and the network, reproducing the overlap behaviour that
-// determines percent-of-peak in Figures 2-3.
+// the same compiled plans the real executor runs (iteration offset, tile
+// cache, exclusions) drive a schedule over compute engines and the
+// network, with prefetch depth and bounded GEMM/accumulate concurrency,
+// reproducing the overlap behaviour that determines percent-of-peak in
+// Figures 2-3. It is the CompilePlans pass followed by ModelExecutor's
+// replay, so the two agree bit for bit.
 func SimulateMultiply(prob Problem, cfg Config, sys SimSystem) SimResult {
 	res, _, _ := SimulateMultiplyTrace(prob, cfg, sys)
 	return res
-}
-
-// buildPlans constructs every rank's plan. The calls are independent and
-// touch only immutable problem metadata, so they fan out across a worker
-// pool (cluster-scale sweeps build hundreds of plans per estimate); each
-// worker writes its rank's slot, keeping the result deterministic, and the
-// single-threaded engine assembly that follows consumes them in rank
-// order.
-func buildPlans(prob Problem, cfg Config, p int) []Plan {
-	plans := make([]Plan, p)
-	rt.ForEachIndex(p, func(rank int) {
-		plans[rank] = BuildPlanMode(rank, prob, cfg.Stationary, cfg.CacheTiles, cfg.SubTileFetch)
-	})
-	return plans
 }
 
 // simBuilder maps the estimator's transfers onto engine resources the same
@@ -214,23 +201,18 @@ func (b *simBuilder) addAccum(label, getLabel, putLabel string, rank, dst, bytes
 // timeline (trace.WriteGantt) or inspect per-op timings. The returned
 // Result's slices are owned by the engine (see gpusim.Result).
 func SimulateMultiplyTrace(prob Problem, cfg Config, sys SimSystem) (SimResult, *gpusim.Engine, gpusim.Result) {
-	cfg = cfg.withDefaults()
-	p := prob.A.World().NumPE()
-	if p != sys.Topo.NumPE() {
+	if prob.A.World().NumPE() != sys.Topo.NumPE() {
 		panic("universal: world size does not match topology")
 	}
-	plans := buildPlans(prob, cfg, p)
-	eng := gpusim.NewEngine()
-	var r planReplayer
-	res, run := r.replay(prob, cfg, sys, plans, eng)
-	return res, eng, run
+	return SimulateCompiledTrace(prob, compilePlans(prob, cfg, false), cfg, sys)
 }
 
-// planReplayer maps per-rank plans onto a discrete-event DAG and runs it.
-// It is the single replay implementation behind both SimulateMultiplyTrace
-// (fresh plans, fresh engine) and ModelExecutor (compiled plans, reused
-// engine), so the two paths agree bit for bit by construction: same op
-// insertion order, same resources, same durations, same scheduler.
+// planReplayer maps a CompiledPlan's per-rank plans onto a discrete-event
+// DAG and runs it. It is the single replay implementation behind
+// ModelExecutor, which SimulateMultiply also runs on a freshly compiled
+// plan, so every estimate of one (problem, config) replays the same plans
+// the same way: same op insertion order, same resources, same durations,
+// same scheduler.
 //
 // All scratch lives on the replayer and is grown once, so a reused
 // replayer performs zero steady-state allocations per replay.

@@ -24,8 +24,8 @@
 // The package is a façade: the implementation lives in internal/ packages
 // (index arithmetic, local GEMM kernels, the PGAS runtime, the distributed
 // matrix data structure, the universal algorithm, IR lowering, cost model,
-// baselines, and the benchmark harness that regenerates the paper's
-// figures).
+// comparison systems, and the benchmark harness that regenerates the
+// paper's figures).
 package slicing
 
 import (
@@ -294,8 +294,8 @@ type CompiledPlan = universal.CompiledPlan
 func CompilePlans(p Problem, cfg Config) *CompiledPlan { return universal.CompilePlans(p, cfg) }
 
 // PlanCache is a bounded LRU of compiled plans with single-flight
-// compilation. Set Config.Plans to one (or use PlansOf) to make Multiply
-// reuse compiled plans across calls.
+// compilation. Multiply reuses compiled plans across calls through the
+// world's shared cache (PlansOf), or through Config.Plans when set.
 type PlanCache = universal.PlanCache
 
 // NewPlanCache returns a plan cache holding up to capacity plans.
