@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"slicing/internal/distmat"
+	"slicing/internal/gpusim"
 	rt "slicing/internal/runtime"
 	"slicing/internal/serve"
 	"slicing/internal/shmem"
@@ -171,8 +172,8 @@ func RunServeLoad(o ServeOptions) ServeResult {
 // RunServeNaive measures the pre-serving baseline at the same workload: a
 // sequential loop issuing one collective per request, each rebuilding its
 // plans and fetch schedules from scratch with no cache (a fresh PlanCache
-// per request, so the world's shared cache is never consulted), no
-// batching, and per-request synchronization. This is what sharing the
+// and buffer pool per request, so the world's shared cache and pool are
+// never consulted), no batching, and per-request synchronization. This is what sharing the
 // world across tenants looked like before the serving layer existed
 // (concurrent callers must serialize their collectives).
 func RunServeNaive(o ServeOptions) ServeResult {
@@ -184,7 +185,7 @@ func RunServeNaive(o ServeOptions) ServeResult {
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		t0 := time.Now()
-		cfg := universal.Config{Plans: universal.NewPlanCache(0)}
+		cfg := universal.Config{Plans: universal.NewPlanCache(0), Pool: gpusim.NewPool()}
 		f.w.Run(func(pe rt.PE) {
 			f.cs[0].Zero(pe)
 			universal.MultiplyAccumulate(pe, prob, cfg)

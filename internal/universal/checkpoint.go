@@ -59,11 +59,10 @@ func (c *Checkpoint) LandedCount() int {
 // ExecutePlanCheckpointed is ExecutePlan with progress checkpointing:
 // ckpt is Reset to the plan's length and records every step whose
 // accumulate lands, so on a fatal error the caller can replay exactly the
-// unfinished steps. Same synchronization and error contract as
-// ExecutePlan.
+// unfinished steps. Like ExecutePlan it resolves the plan's fetches
+// afresh under cfg.CacheTiles, and it has the same synchronization and
+// error contract.
 func ExecutePlanCheckpointed(pe rt.PE, prob Problem, plan Plan, cfg Config, ckpt *Checkpoint) error {
-	cfg = cfg.withDefaults()
 	ckpt.Reset(len(plan.Steps))
-	sched := planFetchSchedule(plan, cfg.CacheTiles)
-	return executePlan(pe, prob, plan.Steps, &sched, cfg, ckpt)
+	return executeSteps(pe, prob, plan.Steps, cfg, ckpt)
 }

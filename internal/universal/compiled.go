@@ -3,6 +3,7 @@ package universal
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"slicing/internal/distmat"
@@ -157,19 +158,18 @@ func normalizeExclude(exclude []int) []int {
 }
 
 // CompiledPlan is the immutable, world-level compiled artifact of the §4.1
-// slicing pass: every rank's Step sequence plus the precomputed executor
-// fetch schedule (the plan-time tile-LRU replay) for each. Once compiled it
-// is never mutated, so any number of concurrent multiplies — different PEs
-// of one collective call, or successive serving requests — may execute it
-// simultaneously. Plans depend only on structure (shapes, partitionings,
+// slicing pass: every rank's Step sequence plus the executor fetch
+// schedule that the same tile-LRU walk (resolveFetches) produced with its
+// fetch flags. Once compiled it is never mutated, so any number of
+// concurrent multiplies — different PEs of one collective call, or
+// successive serving requests — may execute it simultaneously. Plans depend only on structure (shapes, partitionings,
 // replication, world size), never on matrix contents or identity, so one
 // CompiledPlan serves every problem whose PlanKey matches.
 type CompiledPlan struct {
 	Key   PlanKey
 	Plans []Plan // indexed by rank
-	// scheds mirrors Plans: the executor's precomputed tile-LRU replay.
-	// Recomputed deterministically from (Plans, Key.CacheTiles) after
-	// deserialization.
+	// scheds mirrors Plans: each rank's fetch schedule. Recomputed
+	// deterministically from (Plans, Key.CacheTiles) after deserialization.
 	scheds []fetchSchedule
 }
 
@@ -197,19 +197,8 @@ func (cp *CompiledPlan) Steps() int {
 // primitive the recovery subsystem builds on. At least one rank must
 // survive.
 func CompilePlans(prob Problem, cfg Config) *CompiledPlan {
-	return compilePlans(prob, cfg, true)
-}
-
-// compilePlans is CompilePlans' body. With scheds false it skips the
-// executor's fetch schedules, which the model replay never reads:
-// SimulateMultiply compiles that way, since its plan never reaches an
-// executor.
-func compilePlans(prob Problem, cfg Config, scheds bool) *CompiledPlan {
 	key := PlanKeyOf(prob, cfg)
-	cp := &CompiledPlan{Key: key, Plans: make([]Plan, key.NumPE)}
-	if scheds {
-		cp.scheds = make([]fetchSchedule, key.NumPE)
-	}
+	cp := &CompiledPlan{Key: key, Plans: make([]Plan, key.NumPE), scheds: make([]fetchSchedule, key.NumPE)}
 	excl := normalizeExclude(cfg.Exclude)
 	dead := make([]bool, key.NumPE)
 	for _, r := range excl {
@@ -227,14 +216,12 @@ func compilePlans(prob Problem, cfg Config, scheds bool) *CompiledPlan {
 	rt.ForEachIndex(key.NumPE, func(rank int) {
 		if dead[rank] {
 			cp.Plans[rank] = Plan{Rank: rank, Stationary: key.Stationary}
-		} else {
-			ops := GenerateOps(rank, prob, key.Stationary)
-			ops = append(ops, adoptedOps(rank, prob, key.Stationary, excl, survivors)...)
-			cp.Plans[rank] = buildStepsFromOps(rank, prob, key.Stationary, ops, key.CacheTiles, key.SubTile)
+			cp.scheds[rank] = resolveFetches(nil, key.CacheTiles)
+			return
 		}
-		if scheds {
-			cp.scheds[rank] = planFetchSchedule(cp.Plans[rank], key.CacheTiles)
-		}
+		ops := GenerateOps(rank, prob, key.Stationary)
+		ops = append(ops, adoptedOps(rank, prob, key.Stationary, excl, survivors)...)
+		cp.Plans[rank], cp.scheds[rank] = buildStepsFromOps(rank, prob, key.Stationary, ops, key.CacheTiles, key.SubTile)
 	})
 	return cp
 }
@@ -285,11 +272,12 @@ func (cp *CompiledPlan) MarshalJSON() ([]byte, error) {
 	return json.Marshal(compiledPlanJSON{Key: cp.Key, Plans: cp.Plans})
 }
 
-// UnmarshalJSON deserializes and validates a compiled plan, then recompiles
-// the per-rank fetch schedules. Malformed input — wrong rank count,
-// out-of-range tile indices or owner ranks, negative extents — returns an
-// error rather than panicking later in execution; the package fuzz target
-// hammers this path.
+// UnmarshalJSON deserializes and validates a compiled plan, then reruns
+// each rank's tile-LRU walk under Key.CacheTiles to rebuild its fetch
+// schedule. Malformed input — wrong rank count, out-of-range tile indices
+// or owner ranks, negative extents, fetch flags the walk does not
+// reproduce — returns an error rather than panicking later in execution;
+// the package fuzz target hammers this path.
 func (cp *CompiledPlan) UnmarshalJSON(data []byte) error {
 	var raw compiledPlanJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
@@ -301,7 +289,14 @@ func (cp *CompiledPlan) UnmarshalJSON(data []byte) error {
 	}
 	out.scheds = make([]fetchSchedule, len(out.Plans))
 	for r := range out.Plans {
-		out.scheds[r] = planFetchSchedule(out.Plans[r], out.Key.CacheTiles)
+		stored := out.Plans[r].Steps
+		steps := slices.Clone(stored)
+		out.scheds[r] = resolveFetches(steps, out.Key.CacheTiles)
+		for i := range steps {
+			if steps[i].FetchA != stored[i].FetchA || steps[i].FetchB != stored[i].FetchB {
+				return fmt.Errorf("universal: rank %d step %d fetch flags disagree with the tile cache", r, i)
+			}
+		}
 	}
 	*cp = out
 	return nil
@@ -400,13 +395,15 @@ func (cp *CompiledPlan) Matches(prob Problem, cfg Config) bool {
 }
 
 // ExecuteCompiled runs the calling rank's slice of a compiled plan with the
-// precompiled fetch schedule — the plan-cache hit path of Multiply, which
-// re-runs zero slicing work. The problem must match the plan's key (checked
-// in MultiplyAccumulate's cache path by construction; direct callers can
-// assert with Matches). It performs no collective synchronization; callers
-// barrier afterwards, exactly like ExecutePlan — and shares ExecutePlan's
-// error contract: the returned error is the rank's first fatal one-sided
-// fault after retries, with pooled buffers balanced either way.
+// fetch schedule frozen at compile time — the plan-cache hit path of
+// Multiply, which re-runs zero slicing work. The plan's fetch flags and
+// schedule follow Key.CacheTiles; cfg.CacheTiles is not consulted. The
+// problem must match the plan's key (checked in MultiplyAccumulate's
+// cache path by construction; direct callers can assert with Matches).
+// It performs no collective synchronization; callers barrier afterwards,
+// exactly like ExecutePlan — and shares ExecutePlan's error contract: the
+// returned error is the rank's first fatal one-sided fault after retries,
+// with pooled buffers balanced either way.
 func ExecuteCompiled(pe rt.PE, prob Problem, cp *CompiledPlan, cfg Config) error {
 	rank := pe.Rank()
 	return executePlan(pe, prob, cp.Plans[rank].Steps, &cp.scheds[rank], cfg.withDefaults(), nil)

@@ -328,6 +328,16 @@ func TestCompiledPlanValidateRejects(t *testing.T) {
 		{"source rank out of world", func(cp *CompiledPlan) { cp.Plans[0].Steps[0].ASrc = 7 }},
 		{"negative bytes", func(cp *CompiledPlan) { cp.Plans[0].Steps[0].BBytes = -4 }},
 		{"fetch mode disagrees", func(cp *CompiledPlan) { cp.Plans[0].Steps[0].SubTile = !cp.Key.SubTile }},
+		{"fetch flag flipped on a non-local step", func(cp *CompiledPlan) {
+			for r := range cp.Plans {
+				for i := range cp.Plans[r].Steps {
+					if s := &cp.Plans[r].Steps[i]; !s.BLocal {
+						s.FetchB = !s.FetchB
+						return
+					}
+				}
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

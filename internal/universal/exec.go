@@ -2,6 +2,7 @@ package universal
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,8 +32,8 @@ type Config struct {
 	KernelWorkers int
 	// CacheTiles bounds the recently-fetched tile cache used for reuse
 	// across consecutive ops. It also bounds the executor's resident tile
-	// buffers: a fetched tile's buffer returns to the pool when the
-	// plan-time LRU would have evicted it.
+	// buffers: a fetched tile's buffer returns to the pool when the tile
+	// LRU evicts it.
 	CacheTiles int
 	// SubTileFetch switches to the bandwidth-optimal fetch mode: each op
 	// pulls only its exact (M,K)/(K,N) slices instead of whole tiles. It
@@ -42,8 +43,8 @@ type Config struct {
 	SubTileFetch bool
 	// Pool supplies scratch buffers for partial results and fetched tiles;
 	// each rank draws from its own shard (gpusim.Pool.Shard), so PEs
-	// sharing a pool never contend on its lock. Nil allocates one per
-	// call.
+	// sharing a pool never contend on its lock. Nil means the world's
+	// shared pool, kept next to its plan cache (poolOf).
 	Pool *gpusim.Pool
 	// Plans is the compiled-plan cache Multiply/MultiplyAccumulate (and
 	// their resilient forms) take the problem's CompiledPlan from: a hit
@@ -100,9 +101,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.CacheTiles <= 0 {
 		cfg.CacheTiles = DefaultCacheTiles
 	}
-	if cfg.Pool == nil {
-		cfg.Pool = gpusim.NewPool()
-	}
 	cfg.Retry = cfg.Retry.withDefaults()
 	return cfg
 }
@@ -135,6 +133,15 @@ func MultiplyAccumulate(pe rt.PE, prob Problem, cfg Config) (Stationary, error) 
 	return cp.Key.Stationary, err
 }
 
+// poolOf resolves the buffer pool pe's executions draw from: cfg.Pool, or
+// the world's shared pool when that is nil.
+func poolOf(pe rt.PE, cfg Config) *gpusim.Pool {
+	if cfg.Pool != nil {
+		return cfg.Pool
+	}
+	return stateOf(pe.World()).pool
+}
+
 // compiledPlanOf resolves the CompiledPlan a collective multiply runs:
 // from cfg.Plans, or from the world's shared cache when that is nil.
 func compiledPlanOf(pe rt.PE, prob Problem, cfg Config) *CompiledPlan {
@@ -162,7 +169,7 @@ func finishMultiply(pe rt.PE, prob Problem, cfg Config) {
 
 // tileSlot is one fetched tile buffer with its in-flight future and a
 // reference count. A slot is born with one reference held by the tile
-// cache (its plan-time LRU residency); every step using the tile takes a
+// cache (its LRU residency); every step using the tile takes a
 // reference for the duration of its GEMM→accumulate chain. When the count
 // reaches zero — the LRU residency has ended and no in-flight chain still
 // reads the buffer — the buffer returns to the pool for the next fetch.
@@ -197,31 +204,43 @@ type stepOperands struct {
 // ExecutePlan runs a per-rank plan with the §4.2 optimizations: iteration
 // offset (already baked into the op order), prefetching via
 // get_tile_async, asynchronous GEMM→accumulate chains with bounded
-// concurrency, and pooled scratch memory. It replays the plan-time tile
-// LRU (planFetchSchedule) per call; ExecuteCompiled reuses the replay
-// frozen at compile time. The run itself is allocation-free and
-// spawn-free in the steady state: it borrows a pooled executor whose crew
-// and scratch outlive the call, fetched tiles land in buffers from the
-// rank's shard of cfg.Pool held in refcounted slots whose eviction
-// mirrors the plan-time LRU, and GEMM partials come from the same shard.
-// It performs no collective synchronization; callers barrier afterwards.
-// The returned error is the rank's first fatal one-sided fault (after
-// per-op retries), with every pooled buffer back in the pool either way.
+// concurrency, and pooled scratch memory. It reruns the tile-LRU walk
+// (resolveFetches) on a private copy of the plan's steps under
+// cfg.CacheTiles, so the fetch flags it follows and its buffer lifetimes
+// come from one walk even when the plan was built with another capacity;
+// ExecuteCompiled reuses the walk frozen at compile time. The run itself
+// is allocation-free and spawn-free in the steady state: it borrows a
+// pooled executor whose crew and scratch outlive the call, fetched tiles
+// land in buffers from the rank's shard of cfg.Pool held in refcounted
+// slots that the LRU's evictions retire, and GEMM partials come from the
+// same shard. It performs no collective synchronization; callers barrier
+// afterwards. The returned error is the rank's first fatal one-sided
+// fault (after per-op retries), with every pooled buffer back in the pool
+// either way.
 func ExecutePlan(pe rt.PE, prob Problem, plan Plan, cfg Config) error {
+	return executeSteps(pe, prob, plan.Steps, cfg, nil)
+}
+
+// executeSteps is ExecutePlan's body: it resolves the fetches of a copy of
+// steps under cfg.CacheTiles and runs them, checkpointing into ckpt when
+// it is non-nil.
+func executeSteps(pe rt.PE, prob Problem, steps []Step, cfg Config, ckpt *Checkpoint) error {
 	cfg = cfg.withDefaults()
-	sched := planFetchSchedule(plan, cfg.CacheTiles)
-	return executePlan(pe, prob, plan.Steps, &sched, cfg, nil)
+	steps = slices.Clone(steps)
+	sched := resolveFetches(steps, cfg.CacheTiles)
+	return executePlan(pe, prob, steps, &sched, cfg, ckpt)
 }
 
 // executePlan runs one plan whose fetch schedule is already computed — the
 // shared body of the direct path (which derives sched per call) and the
 // compiled-plan path (which reuses the schedule frozen at compile time, so
 // a plan-cache hit re-runs zero slicing work). cfg must already have
-// defaults applied. sched is read-only: concurrent executions of one
-// CompiledPlan share it. With ckpt non-nil (already Reset to the plan's
-// length) every step whose accumulate lands is marked, so after a fatal
-// fault the caller knows exactly which C contributions are durable and
-// which steps a repair plan must replay.
+// defaults applied. steps' fetch flags must come from the same
+// resolveFetches walk as sched, which is read-only: concurrent executions
+// of one CompiledPlan share it. With ckpt non-nil (already Reset to the
+// plan's length) every step whose accumulate lands is marked, so after a
+// fatal fault the caller knows exactly which C contributions are durable
+// and which steps a repair plan must replay.
 func executePlan(pe rt.PE, prob Problem, steps []Step, sched *fetchSchedule, cfg Config, ckpt *Checkpoint) error {
 	ex := executors.Get().(*executor)
 	ex.add(prob, steps, sched, ckpt)
@@ -280,7 +299,7 @@ func (ex *executor) run(pe rt.PE, cfg Config) error {
 	rt.SetOpDeadline(pe, cfg.Retry.OpTimeout)
 	defer rt.SetOpDeadline(pe, 0)
 
-	ex.pe, ex.pool = pe, cfg.Pool.Shard(pe.Rank())
+	ex.pe, ex.pool = pe, poolOf(pe, cfg).Shard(pe.Rank())
 	ex.retry, ex.kernelWorkers, ex.prefetch = cfg.Retry, cfg.KernelWorkers, cfg.PrefetchDepth
 	steps := ex.carve()
 	ex.reserve(cfg.MaxInflight)
@@ -490,12 +509,11 @@ type chainTask struct {
 // last in-flight chain using them retires, so the feeders of a fused batch
 // share one crew and none has to wait for another's chains to drain.
 //
-// Fault handling: fetch issues and synchronous fallback gets run under the
-// retry budget; a fatal failure (or one published by a worker, or by a
-// fused sibling plan) stops dispatch at that step. Already-issued fetches
-// are safe to abandon — every backend completes the data movement of an
-// async get at issue time — so finish can return their buffers to the
-// pool unconditionally.
+// Fault handling: fetch issues run under the retry budget; a fatal
+// failure (or one published by a worker, or by a fused sibling plan)
+// stops dispatch at that step. Already-issued fetches are safe to abandon
+// — every backend completes the data movement of an async get at issue
+// time — so finish can return their buffers to the pool unconditionally.
 type planFeeder struct {
 	prob  Problem
 	steps []Step
@@ -544,40 +562,12 @@ func (f *planFeeder) feed(ex *executor) {
 		}
 
 		ops := &f.operands[i]
-		var aSlot, bSlot *tileSlot
-		var err error
-		if s.SubTile {
-			aSlot, err = acquireSub(ex.pe, f.prob.A, s.ALocal, s.Op.AIdx, index.Rect{Rows: s.Op.M, Cols: s.Op.K}, &f.aSlots[i], &ops.a, &f.ret)
-			if err == nil {
-				bSlot, err = acquireSub(ex.pe, f.prob.B, s.BLocal, s.Op.BIdx, index.Rect{Rows: s.Op.K, Cols: s.Op.N}, &f.bSlots[i], &ops.b, &f.ret)
-			}
-		} else {
-			var aTile, bTile *tile.Matrix
-			aTile, aSlot, err = f.acquireTile(ex, f.prob.A, s.ALocal, f.sched.srcA[i], s.Op.AIdx, f.aSlots, &f.aLocal)
-			if err == nil {
-				bTile, bSlot, err = f.acquireTile(ex, f.prob.B, s.BLocal, f.sched.srcB[i], s.Op.BIdx, f.bSlots, &f.bLocal)
-			}
-			if err == nil {
-				// Slice the tiles down to the op's global (M, K, N) bounds.
-				ab := f.prob.A.TileBounds(s.Op.AIdx)
-				aTile.ViewInto(&ops.a, s.Op.M.Begin-ab.Rows.Begin, s.Op.K.Begin-ab.Cols.Begin, s.Op.M.Len(), s.Op.K.Len())
-				bb := f.prob.B.TileBounds(s.Op.BIdx)
-				bTile.ViewInto(&ops.b, s.Op.K.Begin-bb.Rows.Begin, s.Op.N.Begin-bb.Cols.Begin, s.Op.K.Len(), s.Op.N.Len())
-			}
+		aSrc, bSrc := i, i // a sub-tile step reads its own fetches
+		if !s.SubTile {
+			aSrc, bSrc = f.sched.srcA[i], f.sched.srcB[i]
 		}
-		if err != nil {
-			// Drop the chain references taken before the failure; the
-			// residency references fall to finish.
-			ex.box.set(err)
-			if aSlot != nil {
-				aSlot.release()
-			}
-			if bSlot != nil {
-				bSlot.release()
-			}
-			f.abortAt = i
-			return
-		}
+		aSlot := operand(ex.pe, f.prob.A, s.Op.AIdx, index.Rect{Rows: s.Op.M, Cols: s.Op.K}, s.ALocal, s.SubTile, f.aSlots, aSrc, &f.aLocal, &ops.a)
+		bSlot := operand(ex.pe, f.prob.B, s.Op.BIdx, index.Rect{Rows: s.Op.K, Cols: s.Op.N}, s.BLocal, s.SubTile, f.bSlots, bSrc, &f.bLocal, &ops.b)
 
 		ex.tasks <- chainTask{prob: f.prob, op: s.Op, ops: ops, aSlot: aSlot, bSlot: bSlot, ckpt: f.ckpt, step: i}
 
@@ -591,7 +581,7 @@ func (f *planFeeder) feed(ex *executor) {
 				bSlot.release()
 			}
 		}
-		// Retire buffers whose plan-time LRU residency ended at this step.
+		// Retire buffers whose LRU residency ended at this step.
 		ev := f.sched.evictions
 		for f.evictCursor < len(ev) && ev[f.evictCursor].atStep == i {
 			f.slot(ev[f.evictCursor].ref).release()
@@ -687,50 +677,26 @@ func (f *planFeeder) fetchSub(ex *executor, s *tileSlot, m *distmat.Matrix, idx 
 	return f.ret.do(func() { m.GetSubTileIntoAsync(ex.pe, &s.fut, &s.mat, idx, distmat.LocalReplica, sub) })
 }
 
-// acquireTile resolves a full-tile operand: a zero-copy local view, the
-// refcounted slot of the fetch serving this step (waiting for it to land),
-// or — if the plan's fetch decisions don't match the replayed schedule
-// (plan built with a different cache capacity) — a synchronous fallback
-// get.
-func (f *planFeeder) acquireTile(ex *executor, m *distmat.Matrix, local bool, src int, idx index.TileIdx, slots []tileSlot, localView *tile.Matrix) (*tile.Matrix, *tileSlot, error) {
+// operand fills view with one step's operand sliced to rect (the op's
+// (M,K) or (K,N) bounds) and returns the slot whose chain reference the
+// step now holds, nil for a local tile. A local tile is viewed in place
+// through localTile; otherwise the step waits for the fetch in slots[src]
+// to land: a whole tile, or in sub-tile mode exactly rect.
+func operand(pe rt.PE, m *distmat.Matrix, idx index.TileIdx, rect index.Rect, local, subTile bool,
+	slots []tileSlot, src int, localTile, view *tile.Matrix) *tileSlot {
+	t, origin := localTile, m.TileBounds(idx)
+	var slot *tileSlot
 	if local {
-		m.TileInto(ex.pe, localView, idx, distmat.LocalReplica)
-		return localView, nil, nil
+		m.TileInto(pe, localTile, idx, distmat.LocalReplica)
+	} else {
+		slot = &slots[src]
+		t = slot.acquire()
+		if subTile {
+			origin = rect
+		}
 	}
-	if src >= 0 {
-		slot := &slots[src]
-		return slot.acquire(), slot, nil
-	}
-	var t *tile.Matrix
-	err := f.ret.do(func() { t = m.GetTile(ex.pe, idx, distmat.LocalReplica) })
-	return t, nil, err
-}
-
-// acquireSub resolves one operand in sub-tile mode, filling view: a strided
-// view of the local tile, or the step's prefetched slice (falling back to a
-// synchronous sub-tile get, under the retry budget, if the prefetch was
-// never issued). It returns the slot whose chain reference the caller must
-// release, nil for local operands.
-func acquireSub(pe rt.PE, m *distmat.Matrix, local bool, idx index.TileIdx,
-	sub index.Rect, slot *tileSlot, view *tile.Matrix, ret *retrier) (*tileSlot, error) {
-	if local {
-		b := m.TileBounds(idx)
-		var t tile.Matrix
-		m.TileInto(pe, &t, idx, distmat.LocalReplica)
-		loc := sub.Localize(b.Rows.Begin, b.Cols.Begin)
-		t.ViewInto(view, loc.Rows.Begin, loc.Cols.Begin, sub.Rows.Len(), sub.Cols.Len())
-		return nil, nil
-	}
-	if slot.buf != nil || slot.fut.Tile != nil {
-		*view = *slot.acquire()
-		return slot, nil
-	}
-	var t *tile.Matrix
-	if err := ret.do(func() { t = m.GetSubTile(pe, idx, distmat.LocalReplica, sub) }); err != nil {
-		return nil, err
-	}
-	*view = *t
-	return nil, nil
+	t.ViewInto(view, rect.Rows.Begin-origin.Rows.Begin, rect.Cols.Begin-origin.Cols.Begin, rect.Rows.Len(), rect.Cols.Len())
+	return slot
 }
 
 // gemmAccumulateChain is the GEMM→accumulate chain of §4.2: it multiplies

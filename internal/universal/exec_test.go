@@ -1,6 +1,8 @@
 package universal
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -8,76 +10,124 @@ import (
 
 	"slicing/internal/distmat"
 	"slicing/internal/gpusim"
+	"slicing/internal/index"
 	rt "slicing/internal/runtime"
 	"slicing/internal/shmem"
 	"slicing/internal/tile"
 )
 
-// The fetch schedule must mirror the plan builder's LRU exactly: every
-// step's non-local full-tile operand resolves to a step that actually
-// fetched it, and every fetch's residency is released exactly once.
+// Fetch flags and the executor's fetch schedule come from one tile-LRU
+// walk, so the schedule mirrors the plan exactly: every step's non-local
+// full-tile operand resolves to a step that fetched that very tile and
+// whose buffer is still held at the use, every fetch's residency is
+// released exactly once and never before it was issued, and no step has
+// more than CacheTiles fetched tile buffers resident (A and B share the
+// one LRU). Checked over a fixed layout and random draws at several
+// capacities, in both fetch modes.
 func TestPlanFetchScheduleMirrorsPlan(t *testing.T) {
 	w := shmem.NewWorld(4)
-	a := distmat.New(w, 96, 96, distmat.RowBlock{}, 1)
-	b := distmat.New(w, 96, 96, distmat.ColBlock{}, 1)
-	c := distmat.New(w, 96, 96, distmat.Block2D{}, 1)
-	prob := NewProblem(c, a, b)
-	for _, cacheTiles := range []int{1, 2, DefaultCacheTiles} {
-		for rank := 0; rank < 4; rank++ {
-			plan := BuildPlan(rank, prob, StationaryC, cacheTiles)
-			sched := planFetchSchedule(plan, cacheTiles)
-			released := map[fetchRef]int{}
-			prevStep := 0
-			for _, ev := range sched.evictions {
-				released[ev.ref]++
-				if ev.atStep < prevStep {
-					t.Fatalf("evictions out of order: step %d after %d", ev.atStep, prevStep)
-				}
-				prevStep = ev.atStep
-				if ev.atStep < len(plan.Steps) && ev.ref.step > ev.atStep {
-					t.Fatalf("rank %d cache %d: fetch %+v released at step %d before it was used",
-						rank, cacheTiles, ev.ref, ev.atStep)
-				}
-			}
-			fetches := 0
-			for i, s := range plan.Steps {
-				if s.SubTile {
-					continue
-				}
-				if s.FetchA {
-					fetches++
-					if sched.srcA[i] != i {
-						t.Fatalf("step %d fetches A but srcA = %d", i, sched.srcA[i])
+	type input struct {
+		prob Problem
+		stat Stationary
+	}
+	inputs := []input{{NewProblem(
+		distmat.New(w, 96, 96, distmat.Block2D{}, 1),
+		distmat.New(w, 96, 96, distmat.RowBlock{}, 1),
+		distmat.New(w, 96, 96, distmat.ColBlock{}, 1)), StationaryC}}
+	rng := rand.New(rand.NewSource(3))
+	for len(inputs) < 41 {
+		d := randomPlanDraw(rng)
+		inputs = append(inputs, input{buildDraw(d), d.cfg.Stationary})
+	}
+	for n, in := range inputs {
+		for _, cacheTiles := range []int{1, 2, DefaultCacheTiles} {
+			for _, sub := range []bool{false, true} {
+				cp := CompilePlans(in.prob, Config{Stationary: in.stat, CacheTiles: cacheTiles, SubTileFetch: sub})
+				for rank, plan := range cp.Plans {
+					if err := fetchScheduleErr(plan.Steps, &cp.scheds[rank], cacheTiles); err != nil {
+						t.Fatalf("input %d, cache %d, sub-tile %v, rank %d: %v", n, cacheTiles, sub, rank, err)
 					}
 				}
-				if s.FetchB {
-					fetches++
-				}
-				if !s.ALocal && !s.FetchA {
-					f := sched.srcA[i]
-					if f < 0 || f >= i || !plan.Steps[f].FetchA {
-						t.Fatalf("step %d cache-hit A resolves to invalid fetch step %d", i, f)
-					}
-				}
-				if !s.BLocal && !s.FetchB {
-					f := sched.srcB[i]
-					if f < 0 || f >= i || !plan.Steps[f].FetchB {
-						t.Fatalf("step %d cache-hit B resolves to invalid fetch step %d", i, f)
-					}
-				}
-			}
-			total := 0
-			for ref, n := range released {
-				if n != 1 {
-					t.Fatalf("fetch %+v released %d times", ref, n)
-				}
-				total++
-			}
-			if total != fetches {
-				t.Fatalf("rank %d cache %d: %d fetches but %d releases", rank, cacheTiles, fetches, total)
 			}
 		}
 	}
+}
+
+// fetchScheduleErr checks TestPlanFetchScheduleMirrorsPlan's invariants
+// for one rank's steps and schedule.
+func fetchScheduleErr(steps []Step, sched *fetchSchedule, cacheTiles int) error {
+	n := len(steps)
+	evictAt := map[fetchRef]int{}
+	resident := make([]int, n+1) // difference array over [fetch step, eviction step)
+	prev := 0
+	for _, ev := range sched.evictions {
+		if ev.atStep < prev {
+			return fmt.Errorf("evictions out of order: step %d after %d", ev.atStep, prev)
+		}
+		prev = ev.atStep
+		if _, dup := evictAt[ev.ref]; dup {
+			return fmt.Errorf("fetch %+v released twice", ev.ref)
+		}
+		evictAt[ev.ref] = ev.atStep
+		if ev.ref.step > ev.atStep {
+			return fmt.Errorf("fetch %+v released at step %d before it was issued", ev.ref, ev.atStep)
+		}
+		resident[ev.ref.step]++
+		resident[ev.atStep]--
+	}
+	live := 0
+	for i := 0; i < n; i++ {
+		if live += resident[i]; live > cacheTiles {
+			return fmt.Errorf("step %d holds %d fetched tiles, capacity %d", i, live, cacheTiles)
+		}
+	}
+	fetches := 0
+	for i, s := range steps {
+		for _, mat := range [...]byte{'A', 'B'} {
+			idx, local, fetch := operandOf(s, mat)
+			src := sched.srcA[i]
+			if mat == 'B' {
+				src = sched.srcB[i]
+			}
+			switch {
+			case s.SubTile:
+				if fetch == local || src != -1 {
+					return fmt.Errorf("sub-tile step %d %c: local %v fetch %v source %d", i, mat, local, fetch, src)
+				}
+			case local:
+				if fetch || src != -1 {
+					return fmt.Errorf("step %d local %c: fetch %v source %d", i, mat, fetch, src)
+				}
+			default:
+				if fetch {
+					fetches++
+					if src != i {
+						return fmt.Errorf("step %d fetches %c but its source is step %d", i, mat, src)
+					}
+				} else if src < 0 || src >= i {
+					return fmt.Errorf("step %d cache-hit %c resolves to step %d", i, mat, src)
+				} else if srcIdx, _, srcFetch := operandOf(steps[src], mat); !srcFetch || srcIdx != idx {
+					return fmt.Errorf("step %d cache-hit %c resolves to step %d, which did not fetch tile %v", i, mat, src, idx)
+				}
+				if at, ok := evictAt[fetchRef{src, mat}]; !ok || at < i {
+					return fmt.Errorf("step %d reads %c fetched at step %d, released at %d (released: %v)", i, mat, src, at, ok)
+				}
+			}
+		}
+	}
+	if len(evictAt) != fetches {
+		return fmt.Errorf("%d full-tile fetches but %d releases", fetches, len(evictAt))
+	}
+	return nil
+}
+
+// operandOf returns step s's tile index, locality and fetch flag for
+// operand mat ('A' or 'B').
+func operandOf(s Step, mat byte) (idx index.TileIdx, local, fetch bool) {
+	if mat == 'A' {
+		return s.Op.AIdx, s.ALocal, s.FetchA
+	}
+	return s.Op.BIdx, s.BLocal, s.FetchB
 }
 
 // The executor's resident tile memory must be bounded by the LRU capacity,
@@ -219,9 +269,9 @@ func TestGemmAccumulateAllocFree(t *testing.T) {
 
 // ExecutePlan run with a cache capacity different from the one the plan
 // was built with (legal: both are exported) must stay correct and must not
-// leak pooled buffers — a plan re-fetch of a tile the executor's larger
-// replay cache still holds shadows the old slot, whose residency must end
-// there and then (the planFetchSchedule shadowed-fetch eviction).
+// leak pooled buffers: it re-resolves the plan's fetch flags under the
+// executor's capacity, so the flags it follows and its buffer lifetimes
+// always come from one LRU walk.
 func TestExecuteWithMismatchedCacheCapacity(t *testing.T) {
 	const p, m, n, k = 4, 100, 90, 110
 	for _, caps := range [][2]int{{1, 8}, {8, 1}, {2, 1 << 10}} {
@@ -373,6 +423,57 @@ func TestMultiplyCachedAllocFree(t *testing.T) {
 			t.Errorf("warm cached Multiply allocates %v objects per call, want 0", allocs)
 		}
 	})
+}
+
+// A nil Config.Pool draws from the world's shared pool, so a warm
+// default-config multiply allocates no more than the same call with an
+// explicit pool, plain and resilient alike. Rank 0 measures while rank 1
+// makes the matching collective calls.
+func TestMultiplyDefaultPoolAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts only meaningful without -race")
+	}
+	const runs = 20
+	w := shmem.NewWorld(2)
+	a := distmat.New(w, 48, 40, distmat.RowBlock{}, 1)
+	b := distmat.New(w, 40, 32, distmat.ColBlock{}, 1)
+	c := distmat.New(w, 48, 32, distmat.RowBlock{}, 1)
+	w.Run(func(pe rt.PE) {
+		a.FillRandom(pe, 1)
+		b.FillRandom(pe, 2)
+	})
+	allocs := func(cfg Config, resilient bool) (n float64) {
+		multiply := func(pe rt.PE) {
+			var err error
+			if resilient {
+				_, _, err = MultiplyResilient(pe, c, a, b, cfg)
+			} else {
+				_, err = Multiply(pe, c, a, b, cfg)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}
+		w.Run(func(pe rt.PE) {
+			multiply(pe) // compile, reserve, spawn the crew
+			if pe.Rank() != 0 {
+				for i := 0; i < runs+1; i++ {
+					multiply(pe)
+				}
+				return
+			}
+			n = testing.AllocsPerRun(runs, func() { multiply(pe) })
+		})
+		return n
+	}
+	explicit := DefaultConfig()
+	explicit.Pool = gpusim.NewPool()
+	for _, resilient := range []bool{false, true} {
+		if def, exp := allocs(DefaultConfig(), resilient), allocs(explicit, resilient); def > exp {
+			t.Errorf("resilient=%v: warm default-pool multiply allocates %v objects per call, explicit pool %v",
+				resilient, def, exp)
+		}
+	}
 }
 
 // crewGoroutines counts the goroutines running a crew worker.

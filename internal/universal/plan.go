@@ -1,7 +1,6 @@
 package universal
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"slicing/internal/distmat"
@@ -95,12 +94,20 @@ type cacheKey struct {
 	idx index.TileIdx
 }
 
-// tileLRU tracks which fetched tiles are still resident. Both the plan
-// builder (for fetch decisions) and the real executor (for the actual tile
-// buffers) use it, so their behaviour matches by construction.
+// tileLRU is the tile cache of §4.2's direct execution: the recently
+// fetched tiles a rank keeps resident for reuse by later ops, A and B tiles
+// sharing one capacity. resolveFetches is its only user, so whether a step
+// fetches a tile and how long the fetched buffer stays alive are decided
+// by one walk.
 type tileLRU struct {
-	cap  int
-	keys []cacheKey
+	cap     int
+	entries []lruEntry // least recently used first
+}
+
+// lruEntry is one resident tile and the step whose fetch brought it in.
+type lruEntry struct {
+	key  cacheKey
+	step int
 }
 
 func newTileLRU(capacity int) *tileLRU {
@@ -110,24 +117,25 @@ func newTileLRU(capacity int) *tileLRU {
 	return &tileLRU{cap: capacity}
 }
 
-// touch marks key as most recently used. It returns whether the key was
-// already resident and, when an insertion overflows capacity, the evicted
-// key.
-func (l *tileLRU) touch(k cacheKey) (hit bool, evicted cacheKey, didEvict bool) {
-	for i, existing := range l.keys {
-		if existing == k {
-			copy(l.keys[i:], l.keys[i+1:])
-			l.keys[len(l.keys)-1] = k
-			return true, cacheKey{}, false
+// touch marks key as most recently used by step and returns the step
+// whose fetch serves it: an earlier step on a hit, step itself on a miss.
+// When a miss overflows capacity, the least recently used entry is
+// evicted and returned.
+func (l *tileLRU) touch(k cacheKey, step int) (src int, evicted lruEntry, didEvict bool) {
+	for i, e := range l.entries {
+		if e.key == k {
+			copy(l.entries[i:], l.entries[i+1:])
+			l.entries[len(l.entries)-1] = e
+			return e.step, lruEntry{}, false
 		}
 	}
-	l.keys = append(l.keys, k)
-	if len(l.keys) > l.cap {
-		evicted = l.keys[0]
-		l.keys = append(l.keys[:0], l.keys[1:]...)
-		return false, evicted, true
+	l.entries = append(l.entries, lruEntry{k, step})
+	if len(l.entries) > l.cap {
+		evicted = l.entries[0]
+		l.entries = append(l.entries[:0], l.entries[1:]...)
+		return step, evicted, true
 	}
-	return false, cacheKey{}, false
+	return step, lruEntry{}, false
 }
 
 // fetchRef names one fetch in a plan: the step that issued it and the
@@ -145,24 +153,21 @@ type fetchEvict struct {
 	ref    fetchRef
 }
 
-// fetchSchedule is the executor's precomputed view of the plan-time tile
-// LRU: where each step's non-local full-tile operand comes from, and when
-// each fetched buffer's cache residency ends. Replaying the same LRU the
-// plan builder used makes the executor's buffer lifetimes mirror the plan's
-// fetch decisions by construction — a tile buffer is recycled exactly when
-// the plan would have re-fetched it — so steady-state execution holds at
-// most CacheTiles tile buffers per operand instead of retaining every fetch
-// for the whole plan.
+// fetchSchedule is the executor's view of the tile LRU, built by the same
+// resolveFetches walk that set the steps' fetch flags: where each step's
+// non-local full-tile operand comes from, and when each fetched buffer's
+// cache residency ends. A tile buffer is recycled exactly when the LRU
+// evicts it, so steady-state execution holds at most CacheTiles fetched
+// tile buffers instead of retaining every fetch for the whole plan.
 type fetchSchedule struct {
 	// srcA[i] / srcB[i] give the step whose fetch serves step i's operand
-	// (srcX[i] == i when the step fetches it itself); -1 marks operands
-	// with no backing fetch: local tiles, sub-tile steps, and — if the
-	// plan was built with a different cache capacity than the executor's —
-	// hits the replay cannot resolve, which fall back to a synchronous get.
+	// (srcX[i] == i when the step fetches it itself); -1 marks local tiles
+	// and sub-tile steps, whose operands have no shared fetch.
 	srcA, srcB []int
-	// evictions lists every fetch's residency end in non-decreasing atStep
-	// order (each fetch appears exactly once), so the executor retires
-	// buffers by walking a cursor instead of per-step slices.
+	// evictions lists every full-tile fetch's residency end in
+	// non-decreasing atStep order (each fetch appears exactly once), so the
+	// executor retires buffers by walking a cursor instead of per-step
+	// slices.
 	evictions []fetchEvict
 	// demand is the plan's pool footprint per buffer bucket, the input to
 	// the executor's per-call reservation (executor.reserve).
@@ -171,7 +176,7 @@ type fetchSchedule struct {
 
 // bucketDemand is one pool bucket's share of a plan's buffer footprint.
 // Fetch buffers live from their step's dispatch window to the end of
-// their plan-time residency; the executor adds the runtime-dependent
+// their LRU residency; the executor adds the runtime-dependent
 // slack (prefetched steps, chains still reading evicted tiles) on top of
 // resident and caps the sum at fetches.
 type bucketDemand struct {
@@ -194,9 +199,9 @@ func addDemand(ds []bucketDemand, d bucketDemand) []bucketDemand {
 	return append(ds, d)
 }
 
-// demandTally accumulates a plan's bucketDemand during the schedule's LRU
-// replay (the GHEtool idiom: precompute so the per-call reservation is a
-// short walk). A full-tile fetch is resident from its own step to its
+// demandTally accumulates a plan's bucketDemand during resolveFetches
+// (the GHEtool idiom: precompute so the per-call reservation is a short
+// walk). A full-tile fetch is resident from its own step to its
 // eviction step, a sub-tile fetch for its own step only; every fetch of a
 // step is counted before the evictions that step triggers, so the running
 // maximum is the peak.
@@ -239,45 +244,51 @@ func (t *demandTally) release(bytes int) { t.live[t.at(bytes)]-- }
 
 func (t *demandTally) partial(bytes int) { t.ds[t.at(bytes)].partials++ }
 
-// planFetchSchedule replays the tile LRU over a plan's steps. cacheTiles
-// must match the capacity the plan was built with for the replay to mirror
-// its fetch decisions exactly.
-func planFetchSchedule(pl Plan, cacheTiles int) fetchSchedule {
-	n := len(pl.Steps)
-	sched := fetchSchedule{
-		srcA: make([]int, n),
-		srcB: make([]int, n),
-	}
+// resolveFetches is the one place the tile LRU runs. It walks one rank's
+// steps in order and sets each step's FetchA/FetchB: a sub-tile step
+// fetches every non-local operand, a full-tile step only the tiles the LRU
+// does not hold. The same walk yields the executor's fetchSchedule. Each
+// LRU entry remembers the step that fetched it, so a hit names its source
+// and an eviction names the buffer to retire; the tiles still resident at
+// the end are retired in LRU order. Locality, SubTile and byte counts
+// must already be set.
+func resolveFetches(steps []Step, cacheTiles int) fetchSchedule {
+	n := len(steps)
+	src := make([]int, 2*n)
+	// A plan rarely fetches more full tiles than it has steps, so n
+	// evictions usually fit without regrowth.
+	sched := fetchSchedule{srcA: src[:n:n], srcB: src[n:], evictions: make([]fetchEvict, 0, n)}
 	cache := newTileLRU(cacheTiles)
-	lastFetch := map[cacheKey]fetchRef{}
-	resolve := func(i int, src *int, fetched, local bool, key cacheKey) {
-		*src = -1
+	// resolve runs one full-tile operand of step i through the LRU,
+	// reporting whether step i fetches it.
+	resolve := func(i int, src *int, local bool, k cacheKey) bool {
 		if local {
-			return
+			return false
 		}
-		if fetched {
-			// A re-fetch while the replay still holds the key only happens
-			// when the executor's cache capacity exceeds the plan's; end
-			// the shadowed fetch's residency here so its buffer is not
-			// leaked (every fetch must appear in evictions exactly once).
-			if old, ok := lastFetch[key]; ok {
-				sched.evictions = append(sched.evictions, fetchEvict{atStep: i, ref: old})
-			}
-			lastFetch[key] = fetchRef{step: i, mat: key.mat}
+		from, ev, evicted := cache.touch(k, i)
+		*src = from
+		if evicted {
+			sched.evictions = append(sched.evictions, fetchEvict{atStep: i, ref: fetchRef{ev.step, ev.key.mat}})
 		}
-		if ref, ok := lastFetch[key]; ok {
-			*src = ref.step
-		}
-		if _, evicted, did := cache.touch(key); did {
-			if ref, ok := lastFetch[evicted]; ok {
-				sched.evictions = append(sched.evictions, fetchEvict{atStep: i, ref: ref})
-				delete(lastFetch, evicted)
-			}
-		}
+		return from == i
 	}
-	var tally demandTally
-	for i, s := range pl.Steps {
+	// Plans use a handful of buffer sizes; sizing the tally for them up
+	// front saves its regrowth.
+	tally := demandTally{
+		ds:   make([]bucketDemand, 0, 4),
+		live: make([]int, 0, 4),
+		seen: make([]struct{ bytes, idx int }, 0, 8),
+	}
+	for i := range steps {
+		s := &steps[i]
 		sched.srcA[i], sched.srcB[i] = -1, -1
+		mark := len(sched.evictions)
+		if s.SubTile {
+			s.FetchA, s.FetchB = !s.ALocal, !s.BLocal
+		} else {
+			s.FetchA = resolve(i, &sched.srcA[i], s.ALocal, cacheKey{'A', s.Op.AIdx})
+			s.FetchB = resolve(i, &sched.srcB[i], s.BLocal, cacheKey{'B', s.Op.BIdx})
+		}
 		tally.partial(s.AccumBytes)
 		if s.FetchA {
 			tally.fetch(s.ABytes)
@@ -286,40 +297,26 @@ func planFetchSchedule(pl Plan, cacheTiles int) fetchSchedule {
 			tally.fetch(s.BBytes)
 		}
 		if s.SubTile {
+			// Sub-tile fetches are single-use: resident for their own step.
 			if s.FetchA {
 				tally.release(s.ABytes)
 			}
 			if s.FetchB {
 				tally.release(s.BBytes)
 			}
-			continue
 		}
-		mark := len(sched.evictions)
-		resolve(i, &sched.srcA[i], s.FetchA, s.ALocal, cacheKey{'A', s.Op.AIdx})
-		resolve(i, &sched.srcB[i], s.FetchB, s.BLocal, cacheKey{'B', s.Op.BIdx})
 		for _, ev := range sched.evictions[mark:] {
 			if ev.ref.mat == 'A' {
-				tally.release(pl.Steps[ev.ref.step].ABytes)
+				tally.release(steps[ev.ref.step].ABytes)
 			} else {
-				tally.release(pl.Steps[ev.ref.step].BBytes)
+				tally.release(steps[ev.ref.step].BBytes)
 			}
 		}
 	}
-	sched.demand = tally.ds
-	// Fetches still resident at plan end are retired together; emit them in
-	// step order (not map order) so identical plans always produce
-	// bit-identical schedules.
-	tail := len(sched.evictions)
-	for _, ref := range lastFetch {
-		sched.evictions = append(sched.evictions, fetchEvict{atStep: n, ref: ref})
+	for _, e := range cache.entries {
+		sched.evictions = append(sched.evictions, fetchEvict{atStep: n, ref: fetchRef{e.step, e.key.mat}})
 	}
-	sort.Slice(sched.evictions[tail:], func(i, j int) bool {
-		a, b := sched.evictions[tail+i].ref, sched.evictions[tail+j].ref
-		if a.step != b.step {
-			return a.step < b.step
-		}
-		return a.mat < b.mat
-	})
+	sched.demand = tally.ds
 	return sched
 }
 
@@ -337,21 +334,24 @@ func BuildPlan(rank int, p Problem, stat Stationary, cacheTiles int) Plan {
 // sharing a tile. The tradeoff is benchmarked in BenchmarkFetchModeAblation.
 func BuildPlanMode(rank int, p Problem, stat Stationary, cacheTiles int, subTile bool) Plan {
 	resolved := p.ResolveStationary(stat)
-	return buildStepsFromOps(rank, p, resolved, GenerateOps(rank, p, resolved), cacheTiles, subTile)
+	pl, _ := buildStepsFromOps(rank, p, resolved, GenerateOps(rank, p, resolved), cacheTiles, subTile)
+	return pl
 }
 
 // buildStepsFromOps lowers an explicit op list into a Step sequence with
 // locality, fetch decisions, and byte counts resolved for the executing
-// rank. BuildPlanMode feeds it the rank's own generated ops; the recovery
-// path feeds it ops adopted from a failed rank (plan repair), where the
-// adopting rank's own replica placement — not the dead rank's — must
-// drive the source/destination resolution. stat must already be resolved.
-func buildStepsFromOps(rank int, p Problem, resolved Stationary, ops []LocalOp, cacheTiles int, subTile bool) Plan {
+// rank, and returns the executor's fetch schedule from the same
+// resolveFetches walk. BuildPlanMode feeds it the rank's own generated
+// ops; the recovery path feeds it ops adopted from a failed rank (plan
+// repair), where the adopting rank's own replica placement — not the dead
+// rank's — must drive the source/destination resolution. stat must
+// already be resolved.
+func buildStepsFromOps(rank int, p Problem, resolved Stationary, ops []LocalOp, cacheTiles int, subTile bool) (Plan, fetchSchedule) {
 	planBuilds.Add(1)
-	cache := newTileLRU(cacheTiles)
-	steps := make([]Step, 0, len(ops))
-	for _, op := range ops {
-		s := Step{Op: op, SubTile: subTile}
+	steps := make([]Step, len(ops))
+	for i, op := range ops {
+		s := &steps[i]
+		s.Op, s.SubTile = op, subTile
 		s.ASrc = p.A.OwnerRank(op.AIdx, distmat.LocalReplica, rank)
 		s.BSrc = p.B.OwnerRank(op.BIdx, distmat.LocalReplica, rank)
 		s.CDst = p.C.OwnerRank(op.CIdx, distmat.LocalReplica, rank)
@@ -362,21 +362,11 @@ func buildStepsFromOps(rank int, p Problem, resolved Stationary, ops []LocalOp, 
 		if subTile {
 			s.ABytes = op.M.Len() * op.K.Len() * 4
 			s.BBytes = op.K.Len() * op.N.Len() * 4
-			s.FetchA = !s.ALocal
-			s.FetchB = !s.BLocal
 		} else {
 			s.ABytes = p.A.TileBounds(op.AIdx).Area() * 4
 			s.BBytes = p.B.TileBounds(op.BIdx).Area() * 4
-			if !s.ALocal {
-				hit, _, _ := cache.touch(cacheKey{'A', op.AIdx})
-				s.FetchA = !hit
-			}
-			if !s.BLocal {
-				hit, _, _ := cache.touch(cacheKey{'B', op.BIdx})
-				s.FetchB = !hit
-			}
 		}
-		steps = append(steps, s)
 	}
-	return Plan{Rank: rank, Stationary: resolved, Steps: steps}
+	sched := resolveFetches(steps, cacheTiles)
+	return Plan{Rank: rank, Stationary: resolved, Steps: steps}, sched
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"weak"
 
+	"slicing/internal/gpusim"
 	rt "slicing/internal/runtime"
 )
 
@@ -253,10 +254,12 @@ func (c *PlanCache) Stats() PlanCacheStats {
 // once a world is collected its cleanup drops the entry.
 var worlds sync.Map // weak.Pointer[byte] -> *worldState
 
-// worldState is the per-world state: the shared plan cache and each
-// rank's resilient status segment (statusSegmentOf).
+// worldState is the per-world state: the shared plan cache, the buffer
+// pool of multiplies with a nil Config.Pool (poolOf), and each rank's
+// resilient status segment (statusSegmentOf).
 type worldState struct {
 	plans  *PlanCache
+	pool   *gpusim.Pool
 	status []statusSegment // indexed by rank; each rank touches only its own
 }
 
@@ -271,6 +274,7 @@ func stateOf(w rt.World) *worldState {
 	}
 	st, loaded := worlds.LoadOrStore(key, &worldState{
 		plans:  NewPlanCache(DefaultPlanCacheSize),
+		pool:   gpusim.NewPool(),
 		status: make([]statusSegment, w.NumPE()),
 	})
 	if !loaded {

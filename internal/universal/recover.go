@@ -96,8 +96,7 @@ func MultiplyAccumulateResilient(pe rt.PE, prob Problem, cfg Config) (Stationary
 			ckpt.Reset(len(cp.Plans[rank].Steps))
 			execErr = executePlan(pe, prob, cp.Plans[rank].Steps, &cp.scheds[rank], cfg, &ckpt)
 		} else {
-			pl := buildStepsFromOps(rank, prob, stat, curOps[rank], cfg.CacheTiles, cfg.SubTileFetch)
-			sched := planFetchSchedule(pl, cfg.CacheTiles)
+			pl, sched := buildStepsFromOps(rank, prob, stat, curOps[rank], cfg.CacheTiles, cfg.SubTileFetch)
 			ckpt.Reset(len(pl.Steps))
 			execErr = executePlan(pe, prob, pl.Steps, &sched, cfg, &ckpt)
 		}

@@ -204,7 +204,7 @@ func SimulateMultiplyTrace(prob Problem, cfg Config, sys SimSystem) (SimResult, 
 	if prob.A.World().NumPE() != sys.Topo.NumPE() {
 		panic("universal: world size does not match topology")
 	}
-	return SimulateCompiledTrace(prob, compilePlans(prob, cfg, false), cfg, sys)
+	return SimulateCompiledTrace(prob, CompilePlans(prob, cfg), cfg, sys)
 }
 
 // planReplayer maps a CompiledPlan's per-rank plans onto a discrete-event

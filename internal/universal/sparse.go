@@ -21,7 +21,7 @@ func MultiplySparse(pe rt.PE, c *distmat.Matrix, a *distmat.Sparse, b *distmat.M
 	// Stationary A would keep the sparse matrix in place; the auto rule
 	// compares dense element counts, which is still a reasonable proxy.
 	plan := BuildPlan(pe.Rank(), prob, cfg.Stationary, cfg.CacheTiles)
-	pool := cfg.Pool.Shard(pe.Rank())
+	pool := poolOf(pe, cfg).Shard(pe.Rank())
 
 	aCache := map[index.TileIdx]*tile.CSR{}
 	fetched := map[cacheKey]*distmat.TileFuture{}
